@@ -20,6 +20,7 @@ import (
 	"focus"
 	"focus/internal/experiments"
 	"focus/internal/scalebench"
+	"focus/internal/serve"
 )
 
 var (
@@ -172,5 +173,120 @@ func BenchmarkQuickstartPipeline(b *testing.B) {
 			b.Fatal(err)
 		}
 		sys.Close()
+	}
+}
+
+// ---- plan executor micro-benchmarks ----
+//
+// The compound-plan path with every GT verdict warm: what remains is the
+// executor's own bookkeeping (candidate retrieval, the frame table, the
+// refinement rounds), the cost routed_miss and live_ingest pay per request.
+
+var (
+	planBenchOnce sync.Once
+	planBenchSys  *focus.System
+	planBenchErr  error
+)
+
+// planBenchOpts windows every leaf to 90 s of the 300 s corpus, the size of
+// a routed_miss request.
+var planBenchOpts = focus.PlanOptions{Leaf: focus.QueryOptions{StartSec: 100, EndSec: 190}}
+
+const planBenchExpr = "car & person & !bus"
+
+// planBenchSystem ingests the served-path benchmark's four streams once and
+// warms the verdict cache with one full drain.
+func planBenchSystem(b *testing.B) *focus.System {
+	b.Helper()
+	planBenchOnce.Do(func() {
+		sys, err := focus.New(focus.Config{
+			Targets:     focus.Targets{Recall: 0.9, Precision: 0.9},
+			TuneOptions: serve.QuickTuneOptions(),
+		})
+		if err != nil {
+			planBenchErr = err
+			return
+		}
+		for _, name := range []string{"auburn_c", "city_a_d", "jacksonh", "lausanne"} {
+			if _, err := sys.AddTable1Stream(name); err != nil {
+				planBenchErr = err
+				return
+			}
+		}
+		if err := sys.IngestAll(focus.GenOptions{DurationSec: 300, SampleEvery: 1}); err != nil {
+			planBenchErr = err
+			return
+		}
+		if _, err := sys.PlanQuery(planBenchExpr, planBenchOpts); err != nil {
+			planBenchErr = err
+			return
+		}
+		planBenchSys = sys
+	})
+	if planBenchErr != nil {
+		b.Fatal(planBenchErr)
+	}
+	return planBenchSys
+}
+
+var planBenchSink int
+
+func benchExecutePlan(b *testing.B, opts focus.PlanOptions) {
+	sys := planBenchSystem(b)
+	p, err := sys.CompilePlan(planBenchExpr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// A different schedule can verify clusters the warming drain skipped.
+	if _, err := sys.ExecutePlan(p, opts); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := sys.ExecutePlan(p, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Stats.GTInferences != 0 {
+			b.Fatalf("verdicts not warm: %d GT inferences", res.Stats.GTInferences)
+		}
+		planBenchSink += len(res.Items)
+	}
+}
+
+func BenchmarkExecuteWarmDrain(b *testing.B) { benchExecutePlan(b, planBenchOpts) }
+
+func BenchmarkExecuteWarmTop10(b *testing.B) {
+	opts := planBenchOpts
+	opts.TopK = 10
+	benchExecutePlan(b, opts)
+}
+
+func BenchmarkEarlyExitWarmTop10(b *testing.B) {
+	opts := planBenchOpts
+	opts.TopK = 10
+	opts.EarlyExit = true
+	benchExecutePlan(b, opts)
+}
+
+// BenchmarkNewCursor measures construction alone: candidate retrieval and
+// the per-stream frame table, before any refinement round.
+func BenchmarkNewCursor(b *testing.B) {
+	sys := planBenchSystem(b)
+	p, err := sys.CompilePlan(planBenchExpr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cur, err := sys.NewPlanCursor(p, planBenchOpts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if cur.Done() {
+			planBenchSink++
+		}
 	}
 }

@@ -2,7 +2,7 @@ package plan
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 
 	"focus/internal/query"
@@ -93,7 +93,7 @@ func ExecuteEarlyExit(p *Plan, targets []Target, opts Options) (*Result, error) 
 	// A drain can overshoot TopK; rank the discovered set and cut. The
 	// order is RankBefore so routed merges and golden comparisons reuse
 	// the exact path's comparator.
-	sort.Slice(items, func(i, j int) bool { return RankBefore(items[i], items[j]) })
+	slices.SortFunc(items, rankCompare)
 	if len(items) > opts.TopK {
 		items = items[:opts.TopK]
 	}

@@ -1,8 +1,9 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"focus/internal/index"
 	"focus/internal/parallel"
@@ -245,6 +246,18 @@ func RankBefore(a, b Item) bool {
 	return a.Frame < b.Frame
 }
 
+// rankCompare is RankBefore as the three-way comparison slices.SortFunc
+// takes.
+func rankCompare(a, b Item) int {
+	switch {
+	case RankBefore(a, b):
+		return -1
+	case RankBefore(b, a):
+		return 1
+	}
+	return 0
+}
+
 // LeafStat reports one leaf's work on one stream.
 type LeafStat struct {
 	Class      string
@@ -302,13 +315,16 @@ func Execute(p *Plan, targets []Target, opts Options) (*Result, error) {
 
 // Cursor is a paged plan execution: Next(n) returns the next n items of
 // the final ranking, refining the underlying per-leaf cluster budgets only
-// as far as needed. An item is emitted only when no unresolved cluster
-// anywhere could produce a higher-ranked frame, so the concatenation of
-// pages is bit-identical to the one-shot ranking regardless of page sizes.
+// as far as needed — and paying, per refinement round, only for the frames
+// the newly resolved clusters cover, not for every frame in the window. An
+// item is emitted only when no unresolved cluster anywhere could produce a
+// higher-ranked frame, so the concatenation of pages is bit-identical to
+// the one-shot ranking regardless of page sizes.
 type Cursor struct {
 	plan    *Plan
 	opts    Options
 	streams []*streamExec
+	active  []*streamExec // scratch: the streams a round refines
 	emitted int
 	done    bool
 }
@@ -366,25 +382,26 @@ func (c *Cursor) Next(n int) ([]Item, error) {
 			}
 			continue
 		}
-		allResolved := true
+		// Refine: every unresolved stream advances one round in parallel
+		// (§5 fan-out; rounds are independent per stream, and emission
+		// order is provably round-schedule independent). Finished streams
+		// are left out, and a lone straggler runs inline.
+		active := c.active[:0]
 		for _, s := range c.streams {
 			if !s.resolvedAll {
-				allResolved = false
-				break
+				active = append(active, s)
 			}
 		}
-		if allResolved {
+		c.active = active
+		if len(active) == 0 {
 			// Bounds are all gone, so any remaining ready item would have
 			// been emitted above: the plan is exhausted.
 			c.done = true
 			break
 		}
-		// Refine: every unresolved stream advances one round in parallel
-		// (§5 fan-out; rounds are independent per stream, and emission
-		// order is provably round-schedule independent).
-		workers := parallel.StreamWorkers(len(c.streams), c.opts.Workers)
-		err := parallel.ForEach(workers, len(c.streams), func(i int) error {
-			c.streams[i].advance(c.opts.StepClusters)
+		workers := parallel.StreamWorkers(len(active), c.opts.Workers)
+		err := parallel.ForEach(workers, len(active), func(i int) error {
+			active[i].advance(c.opts.StepClusters)
 			return nil
 		})
 		if err != nil {
@@ -440,12 +457,38 @@ func collectStats(canonical string, streams []*streamExec, done bool) Stats {
 }
 
 // ---- per-stream execution ----
+//
+// One refinement round (advance) costs O(frames its resolved candidates
+// cover), not O(frames). Three facts make the incremental bookkeeping
+// exact:
+//
+//   - A frame's truth value, score and upper bound are functions of its
+//     per-leaf status, bestConf and highest unresolved covering candidate,
+//     and all three change only when a candidate covering the frame
+//     resolves. The frames applyResolution touches are therefore a complete
+//     dirty set: every other frame is exactly as the last round left it.
+//   - Readiness and death are terminal (verdicts never retract), so the
+//     ready list is a persistent heap that only ever gains members.
+//   - A live frame's upper bound never increases: a leaf's Unknown term is
+//     the confidence of its first unresolved covering candidate, candidates
+//     resolve in descending confidence, and a leaf turning True contributes
+//     at most that term. The stream bound is thus the top of a max-heap
+//     holding each bound a frame has had; entries a frame has since moved
+//     below are stale and discarded when they surface.
 
 const (
 	candUnresolved int8 = iota
 	candMatched
 	candNotMatched
 	candSkipped
+)
+
+// A frame is live until it turns ready (plan True, score final) or dead
+// (plan False); both are terminal.
+const (
+	frameLive uint8 = iota
+	frameReady
+	frameDead
 )
 
 type streamExec struct {
@@ -456,44 +499,66 @@ type streamExec struct {
 	leaves    []*leafExec
 	order     []int // leaf indices, most selective (fewest candidates) first
 
-	frames         map[video.FrameID]*frameState
 	uniqueVerified map[index.ClusterID]struct{}
 
-	ready       []Item // ready, unemitted frames in final rank order
-	readyPos    int
-	bound       float64 // max possible score of any unready, undead frame; -1 if none
+	// The frame table. Every frame a candidate covers gets a dense number
+	// in first-registration order; per-frame state is indexed by it and
+	// per-(frame, leaf) state by frame*nLeaves+leaf.
+	nLeaves  int
+	frameID  []video.FrameID
+	timeSec  []float64
+	fate     []uint8   // frameLive / frameReady / frameDead
+	ub       []float64 // a live frame's current score upper bound; -1 once terminal
+	status   []int8    // per-leaf three-valued truth
+	bestConf []float64 // per-leaf confidence of the best matching cluster
+	pending  []int32   // per-leaf unresolved candidates covering the frame
+	// memberOf[memberOff[k]:memberOff[k+1]] are the leaf's candidates
+	// covering the frame, confidence-descending; nextUB[k] is the cursor
+	// into that run for the unresolved-confidence bound.
+	memberOff []int32
+	memberOf  []int32
+	nextUB    []int32
+
+	// touched lists the frames covered by a candidate resolved this round;
+	// touched[deadFrom:] have not yet been seen by refreshDead. stamp[f] ==
+	// epoch marks f as already visited in the current pass; a pass ends by
+	// bumping epoch.
+	touched  []int32
+	deadFrom int
+	stamp    []uint32
+	epoch    uint32
+
+	ready       []Item    // min-heap by RankBefore: ready, unemitted frames
+	bounds      []ubEntry // max-heap by ub over live frames, with stale entries
+	bound       float64   // max possible score of any live frame; -1 if none
 	resolvedAll bool
 }
 
-// frameRef is one distinct member frame of a candidate cluster, with its
-// timestamp.
-type frameRef struct {
-	frame   video.FrameID
-	timeSec float64
+type ubEntry struct {
+	ub    float64
+	frame int32
 }
+
+func ubBefore(a, b ubEntry) bool { return a.ub > b.ub }
 
 type leafExec struct {
-	spec       *leafSpec
-	viaOther   bool
-	cands      []*index.ClusterRecord
-	confs      []float64    // per-candidate class confidence, descending
-	candFrames [][]frameRef // per-candidate member frames within the leaf window, deduplicated
-	state      []int8       // candUnresolved / candMatched / candNotMatched / candSkipped
-	next       int          // first possibly-unresolved candidate
-	verified   int
-	skipped    int
-	matched    int
+	spec     *leafSpec
+	viaOther bool
+	cands    []*index.ClusterRecord
+	confs    []float64 // per-candidate class confidence, descending
+	// frames[frameOff[i]:frameOff[i+1]] are candidate i's distinct member
+	// frames within the leaf window, as frame-table numbers.
+	frameOff []int32
+	frames   []int32
+	state    []int8 // candUnresolved / candMatched / candNotMatched / candSkipped
+	next     int    // first possibly-unresolved candidate
+	verified int
+	skipped  int
+	matched  int
 }
 
-type frameState struct {
-	timeSec  float64
-	status   []int8    // per-leaf three-valued truth
-	bestConf []float64 // per-leaf confidence of the best matching cluster
-	pending  []int32   // per-leaf unresolved candidates covering this frame
-	memberOf [][]int32 // per-leaf candidate indices covering this frame, confidence-descending
-	nextUB   []int32   // per-leaf cursor into memberOf for the unresolved-confidence bound
-	emitted  bool
-	dead     bool // overall verdict is False: terminal
+func (le *leafExec) candFrames(i int) []int32 {
+	return le.frames[le.frameOff[i]:le.frameOff[i+1]]
 }
 
 func newStreamExec(p *Plan, t Target, opts Options) (*streamExec, error) {
@@ -506,11 +571,12 @@ func newStreamExec(p *Plan, t Target, opts Options) (*streamExec, error) {
 		watermark:      t.Watermark,
 		eval:           p.eval,
 		verifier:       verifier,
-		frames:         make(map[video.FrameID]*frameState),
 		uniqueVerified: make(map[index.ClusterID]struct{}),
+		nLeaves:        len(p.leaves),
+		epoch:          1,
 		bound:          -1,
 	}
-	nLeaves := len(p.leaves)
+	byID := make(map[video.FrameID]int32)
 	for _, spec := range p.leaves {
 		lopts := spec.opts
 		if lopts == (LeafOptions{}) {
@@ -544,52 +610,21 @@ func newStreamExec(p *Plan, t Target, opts Options) (*streamExec, error) {
 		for i, rec := range cands {
 			sc[i] = scored{rec: rec, conf: classConfidence(rec, lookup)}
 		}
-		sort.Slice(sc, func(i, j int) bool {
-			if sc[i].conf != sc[j].conf {
-				return sc[i].conf > sc[j].conf
-			}
-			return sc[i].rec.ID < sc[j].rec.ID
+		slices.SortFunc(sc, func(a, b scored) int {
+			return cmp.Or(cmp.Compare(b.conf, a.conf), cmp.Compare(a.rec.ID, b.rec.ID))
 		})
 		le.cands = make([]*index.ClusterRecord, len(sc))
 		le.confs = make([]float64, len(sc))
-		le.candFrames = make([][]frameRef, len(sc))
 		le.state = make([]int8, len(sc))
+		le.frameOff = make([]int32, 1, len(sc)+1)
 		for i, e := range sc {
 			le.cands[i] = e.rec
 			le.confs[i] = e.conf
-			le.candFrames[i] = memberFrames(e.rec, lopts)
+			s.registerMembers(le, e.rec, lopts, byID)
 		}
 		s.leaves = append(s.leaves, le)
 	}
-	// Register every frame any leaf could touch, with per-leaf coverage.
-	// Frames not covered by a leaf at all are permanently False for it.
-	for li, le := range s.leaves {
-		for ci, frames := range le.candFrames {
-			for _, fr := range frames {
-				fs := s.frames[fr.frame]
-				if fs == nil {
-					fs = &frameState{
-						timeSec:  fr.timeSec,
-						status:   make([]int8, nLeaves),
-						bestConf: make([]float64, nLeaves),
-						pending:  make([]int32, nLeaves),
-						memberOf: make([][]int32, nLeaves),
-						nextUB:   make([]int32, nLeaves),
-					}
-					s.frames[fr.frame] = fs
-				}
-				fs.memberOf[li] = append(fs.memberOf[li], int32(ci))
-				fs.pending[li]++
-			}
-		}
-	}
-	for _, fs := range s.frames {
-		for li := range s.leaves {
-			if fs.pending[li] == 0 {
-				fs.status[li] = tvFalse
-			}
-		}
-	}
+	s.buildFrameTable()
 	// Short-circuit order: most selective leaf first (fewest candidates),
 	// ties by leaf index, so cheap exclusions land before expensive leaves
 	// spend GT time on already-dead frames.
@@ -597,14 +632,13 @@ func newStreamExec(p *Plan, t Target, opts Options) (*streamExec, error) {
 	for i := range s.order {
 		s.order[i] = i
 	}
-	sort.Slice(s.order, func(i, j int) bool {
-		a, b := s.order[i], s.order[j]
-		if len(s.leaves[a].cands) != len(s.leaves[b].cands) {
-			return len(s.leaves[a].cands) < len(s.leaves[b].cands)
-		}
-		return a < b
+	slices.SortFunc(s.order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(len(s.leaves[a].cands), len(s.leaves[b].cands)), cmp.Compare(a, b))
 	})
-	s.recompute()
+	for f := range s.frameID {
+		s.settle(int32(f))
+	}
+	s.refreshBound()
 	return s, nil
 }
 
@@ -620,25 +654,79 @@ func classConfidence(rec *index.ClusterRecord, lookup vision.ClassID) float64 {
 	return 0
 }
 
-// memberFrames returns the cluster's distinct member frames within the
-// leaf's window, in first-appearance order, with their timestamps.
-func memberFrames(rec *index.ClusterRecord, opts LeafOptions) []frameRef {
-	var out []frameRef
-	seen := make(map[video.FrameID]struct{}, len(rec.Members))
-	for _, m := range rec.Members {
+// registerMembers appends the next candidate of le: the cluster's distinct
+// member frames within the leaf's window, in first-appearance order,
+// numbering frames the table has not seen yet (with the timestamp of that
+// first sighting).
+func (s *streamExec) registerMembers(le *leafExec, rec *index.ClusterRecord, opts LeafOptions, byID map[video.FrameID]int32) {
+	for i := range rec.Members {
+		m := &rec.Members[i]
 		if m.TimeSec < opts.StartSec {
 			continue
 		}
 		if opts.EndSec > 0 && m.TimeSec > opts.EndSec {
 			continue
 		}
-		if _, dup := seen[m.Frame]; dup {
+		f, ok := byID[m.Frame]
+		if !ok {
+			f = int32(len(s.frameID))
+			byID[m.Frame] = f
+			s.frameID = append(s.frameID, m.Frame)
+			s.timeSec = append(s.timeSec, m.TimeSec)
+			s.stamp = append(s.stamp, 0)
+		}
+		if s.stamp[f] == s.epoch {
 			continue
 		}
-		seen[m.Frame] = struct{}{}
-		out = append(out, frameRef{frame: m.Frame, timeSec: m.TimeSec})
+		s.stamp[f] = s.epoch
+		le.frames = append(le.frames, f)
 	}
-	return out
+	le.frameOff = append(le.frameOff, int32(len(le.frames)))
+	s.epoch++
+}
+
+// buildFrameTable lays out the per-(frame, leaf) state once every leaf's
+// candidates are registered. Frames a leaf does not cover at all are
+// permanently False for it.
+func (s *streamExec) buildFrameTable() {
+	cells := len(s.frameID) * s.nLeaves
+	s.fate = make([]uint8, len(s.frameID))
+	s.ub = make([]float64, len(s.frameID))
+	for f := range s.ub {
+		s.ub[f] = -1
+	}
+	s.status = make([]int8, cells)
+	s.bestConf = make([]float64, cells)
+	s.pending = make([]int32, cells)
+	s.nextUB = make([]int32, cells)
+	s.memberOff = make([]int32, cells+1)
+	total := 0
+	for li, le := range s.leaves {
+		for _, f := range le.frames {
+			s.pending[int(f)*s.nLeaves+li]++
+		}
+		total += len(le.frames)
+	}
+	for k, n := range s.pending {
+		s.memberOff[k+1] = s.memberOff[k] + n
+		s.nextUB[k] = s.memberOff[k]
+		if n == 0 {
+			s.status[k] = tvFalse
+		}
+	}
+	// Candidates are visited in confidence-descending order, so each run
+	// fills in that order; nextUB doubles as the fill cursor and is reset.
+	s.memberOf = make([]int32, total)
+	for li, le := range s.leaves {
+		for ci := range le.cands {
+			for _, f := range le.candFrames(ci) {
+				k := int(f)*s.nLeaves + li
+				s.memberOf[s.nextUB[k]] = int32(ci)
+				s.nextUB[k]++
+			}
+		}
+	}
+	copy(s.nextUB, s.memberOff)
 }
 
 // advance resolves up to step candidates per leaf: clusters whose member
@@ -706,9 +794,8 @@ func (s *streamExec) advance(step int) {
 // (with at least this confidence, since candidates resolve in descending
 // confidence order) or can never satisfy the plan.
 func (s *streamExec) skippable(li, i int) bool {
-	for _, fr := range s.leaves[li].candFrames[i] {
-		fs := s.frames[fr.frame]
-		if fs.dead || fs.status[li] == tvTrue {
+	for _, f := range s.leaves[li].candFrames(i) {
+		if s.fate[f] == frameDead || s.status[int(f)*s.nLeaves+li] == tvTrue {
 			continue
 		}
 		return false
@@ -717,105 +804,176 @@ func (s *streamExec) skippable(li, i int) bool {
 }
 
 // applyResolution updates per-frame leaf truth after candidate i of leaf
-// li resolved (matched, not matched, or skipped).
+// li resolved (matched, not matched, or skipped), and records the frames it
+// covers as touched.
 func (s *streamExec) applyResolution(li, i int, matched bool) {
 	le := s.leaves[li]
-	for _, fr := range le.candFrames[i] {
-		fs := s.frames[fr.frame]
-		fs.pending[li]--
-		if matched && fs.status[li] != tvTrue {
-			fs.status[li] = tvTrue
-			fs.bestConf[li] = le.confs[i]
-		} else if fs.status[li] == tvUnknown && fs.pending[li] == 0 {
-			fs.status[li] = tvFalse
+	for _, f := range le.candFrames(i) {
+		k := int(f)*s.nLeaves + li
+		s.pending[k]--
+		if matched && s.status[k] != tvTrue {
+			s.status[k] = tvTrue
+			s.bestConf[k] = le.confs[i]
+		} else if s.status[k] == tvUnknown && s.pending[k] == 0 {
+			s.status[k] = tvFalse
+		}
+		if s.stamp[f] != s.epoch {
+			s.stamp[f] = s.epoch
+			s.touched = append(s.touched, f)
 		}
 	}
 }
 
-// refreshDead updates only the terminal-False flags (cheap enough to run
-// between leaves within a round).
+func (s *streamExec) frameStatus(f int32) []int8 {
+	return s.status[int(f)*s.nLeaves : (int(f)+1)*s.nLeaves]
+}
+
+// retire moves a live frame to a terminal fate; clearing its bound is what
+// makes its entries in the bounds heap stale.
+func (s *streamExec) retire(f int32, fate uint8) { s.fate[f], s.ub[f] = fate, -1 }
+
+// refreshDead updates the terminal-False flags of the frames touched since
+// it last ran (between leaves within a round).
 func (s *streamExec) refreshDead() {
-	for _, fs := range s.frames {
-		if !fs.dead && !fs.emitted && evalTV(s.eval, fs.status) == tvFalse {
-			fs.dead = true
+	for _, f := range s.touched[s.deadFrom:] {
+		if s.fate[f] == frameLive && evalTV(s.eval, s.frameStatus(f)) == tvFalse {
+			s.retire(f, frameDead)
 		}
 	}
+	s.deadFrom = len(s.touched)
+	s.epoch++
 }
 
-// recompute rebuilds the stream's ready list and score bound from the
-// per-frame truth state. A frame is ready once the plan is True for it and
-// no scoring leaf covering it is still Unknown (its score can no longer
-// grow); the bound is the best score any not-yet-ready frame could still
-// reach, using each leaf's highest unresolved candidate confidence.
+// recompute settles the frames touched this round and refreshes the bound.
 func (s *streamExec) recompute() {
-	s.ready = s.ready[:0]
-	s.readyPos = 0
-	s.bound = -1
-	for f, fs := range s.frames {
-		if fs.emitted || fs.dead {
-			continue
-		}
-		tv := evalTV(s.eval, fs.status)
-		if tv == tvFalse {
-			fs.dead = true
-			continue
-		}
-		score, settled := 0.0, true
-		ub := 0.0
-		for li, le := range s.leaves {
-			if !le.spec.scoring {
-				continue
-			}
-			switch fs.status[li] {
-			case tvTrue:
-				score += fs.bestConf[li]
-				ub += fs.bestConf[li]
-			case tvUnknown:
-				settled = false
-				ub += s.unresolvedConf(fs, li)
-			}
-		}
-		if tv == tvTrue && settled {
-			s.ready = append(s.ready, Item{
-				Stream:  s.name,
-				Frame:   f,
-				TimeSec: fs.timeSec,
-				Segment: video.SegmentOf(fs.timeSec),
-				Score:   score,
-			})
-			continue
-		}
-		if ub > s.bound {
-			s.bound = ub
+	// A frame touched under several leaves is listed once per leaf.
+	for _, f := range s.touched {
+		if s.stamp[f] != s.epoch {
+			s.stamp[f] = s.epoch
+			s.settle(f)
 		}
 	}
-	sort.Slice(s.ready, func(i, j int) bool { return RankBefore(s.ready[i], s.ready[j]) })
+	s.touched, s.deadFrom = s.touched[:0], 0
+	s.epoch++
+	s.refreshBound()
 }
 
-// unresolvedConf returns the highest confidence among leaf li's unresolved
-// candidates covering this frame — the most its score could still gain
-// from that leaf.
-func (s *streamExec) unresolvedConf(fs *frameState, li int) float64 {
-	le := s.leaves[li]
-	list := fs.memberOf[li]
-	for int(fs.nextUB[li]) < len(list) && le.state[list[fs.nextUB[li]]] != candUnresolved {
-		fs.nextUB[li]++
+// settle re-derives one live frame's fate from its per-leaf truth state. A
+// frame is ready once the plan is True for it and no scoring leaf covering
+// it is still Unknown (its score can no longer grow); otherwise its upper
+// bound is the best score it could still reach, using each leaf's highest
+// unresolved candidate confidence.
+func (s *streamExec) settle(f int32) {
+	if s.fate[f] != frameLive {
+		return
 	}
-	if int(fs.nextUB[li]) < len(list) {
-		return le.confs[list[fs.nextUB[li]]]
+	st := s.frameStatus(f)
+	tv := evalTV(s.eval, st)
+	if tv == tvFalse {
+		s.retire(f, frameDead)
+		return
+	}
+	score, settled := 0.0, true
+	ub := 0.0
+	for li, le := range s.leaves {
+		if !le.spec.scoring {
+			continue
+		}
+		k := int(f)*s.nLeaves + li
+		switch st[li] {
+		case tvTrue:
+			score += s.bestConf[k]
+			ub += s.bestConf[k]
+		case tvUnknown:
+			settled = false
+			ub += s.unresolvedConf(k, le)
+		}
+	}
+	if tv == tvTrue && settled {
+		s.retire(f, frameReady)
+		s.ready = heapPush(s.ready, Item{
+			Stream:  s.name,
+			Frame:   s.frameID[f],
+			TimeSec: s.timeSec[f],
+			Segment: video.SegmentOf(s.timeSec[f]),
+			Score:   score,
+		}, RankBefore)
+		return
+	}
+	if ub != s.ub[f] {
+		s.ub[f] = ub
+		s.bounds = heapPush(s.bounds, ubEntry{ub: ub, frame: f}, ubBefore)
+	}
+}
+
+// unresolvedConf returns the highest confidence among the leaf's unresolved
+// candidates covering the frame of cell k — the most its score could still
+// gain from that leaf.
+func (s *streamExec) unresolvedConf(k int, le *leafExec) float64 {
+	c, end := s.nextUB[k], s.memberOff[k+1]
+	for c < end && le.state[s.memberOf[c]] != candUnresolved {
+		c++
+	}
+	s.nextUB[k] = c
+	if c < end {
+		return le.confs[s.memberOf[c]]
 	}
 	return 0
 }
 
+// refreshBound discards surfaced entries that no longer equal their
+// frame's bound; the top that remains is the stream bound.
+func (s *streamExec) refreshBound() {
+	for len(s.bounds) > 0 && s.bounds[0].ub != s.ub[s.bounds[0].frame] {
+		s.bounds = heapPop(s.bounds, ubBefore)
+	}
+	s.bound = -1
+	if len(s.bounds) > 0 {
+		s.bound = s.bounds[0].ub
+	}
+}
+
 func (s *streamExec) peek() (Item, bool) {
-	if s.readyPos < len(s.ready) {
-		return s.ready[s.readyPos], true
+	if len(s.ready) > 0 {
+		return s.ready[0], true
 	}
 	return Item{}, false
 }
 
-func (s *streamExec) pop() {
-	item := s.ready[s.readyPos]
-	s.frames[item.Frame].emitted = true
-	s.readyPos++
+func (s *streamExec) pop() { s.ready = heapPop(s.ready, RankBefore) }
+
+// heapPush and heapPop maintain a binary heap in a slice; before(a, b)
+// reports that a must surface ahead of b.
+func heapPush[T any](h []T, x T, before func(a, b T) bool) []T {
+	h = append(h, x)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !before(h[i], h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	return h
+}
+
+func heapPop[T any](h []T, before func(a, b T) bool) []T {
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && before(h[c+1], h[c]) {
+			c++
+		}
+		if !before(h[c], h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	return h
 }

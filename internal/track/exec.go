@@ -1,8 +1,9 @@
 package track
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"focus/internal/index"
 	"focus/internal/parallel"
@@ -69,6 +70,18 @@ func RankBefore(a, b Item) bool {
 		return a.StartSec < b.StartSec
 	}
 	return a.Track < b.Track
+}
+
+// rankCompare is RankBefore as the three-way comparison slices.SortFunc
+// takes.
+func rankCompare(a, b Item) int {
+	switch {
+	case RankBefore(a, b):
+		return -1
+	case RankBefore(b, a):
+		return 1
+	}
+	return 0
 }
 
 // ClassStat reports one class leaf's work on one stream.
@@ -141,6 +154,7 @@ type Cursor struct {
 	plan    *Plan
 	opts    Options
 	streams []*trackExec
+	active  []*trackExec // scratch: the streams a round refines
 	emitted int
 	done    bool
 }
@@ -198,20 +212,21 @@ func (c *Cursor) Next(n int) ([]Item, error) {
 			}
 			continue
 		}
-		allResolved := true
+		// Refine the unresolved streams only; a lone straggler runs inline.
+		active := c.active[:0]
 		for _, s := range c.streams {
 			if !s.resolvedAll {
-				allResolved = false
-				break
+				active = append(active, s)
 			}
 		}
-		if allResolved {
+		c.active = active
+		if len(active) == 0 {
 			c.done = true
 			break
 		}
-		workers := parallel.StreamWorkers(len(c.streams), c.opts.Workers)
-		err := parallel.ForEach(workers, len(c.streams), func(i int) error {
-			c.streams[i].advance(c.opts.StepClusters)
+		workers := parallel.StreamWorkers(len(active), c.opts.Workers)
+		err := parallel.ForEach(workers, len(active), func(i int) error {
+			active[i].advance(c.opts.StepClusters)
 			return nil
 		})
 		if err != nil {
@@ -394,11 +409,8 @@ func newTrackExec(p *Plan, t plan.Target, opts Options) (*trackExec, error) {
 	// cluster ID) — the track analog of the plan path's
 	// confidence-descending candidate order, so the first verdicts settle
 	// the highest-scoring tracks and the bound falls fastest.
-	sort.Slice(s.jobs, func(i, j int) bool {
-		if s.jobs[i].prio != s.jobs[j].prio {
-			return s.jobs[i].prio > s.jobs[j].prio
-		}
-		return s.jobs[i].rec.ID < s.jobs[j].rec.ID
+	slices.SortFunc(s.jobs, func(a, b *clusterJob) int {
+		return cmp.Or(cmp.Compare(b.prio, a.prio), cmp.Compare(a.rec.ID, b.rec.ID))
 	})
 	s.recompute()
 	s.resolvedAll = s.next >= len(s.jobs)
@@ -529,7 +541,7 @@ func (s *trackExec) recompute() {
 			s.bound = ub
 		}
 	}
-	sort.Slice(s.ready, func(i, j int) bool { return RankBefore(s.ready[i], s.ready[j]) })
+	slices.SortFunc(s.ready, rankCompare)
 }
 
 func (s *trackExec) item(ts *trackState, score float64) Item {

@@ -23,7 +23,8 @@
 package track
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"focus/internal/index"
 	"focus/internal/video"
@@ -81,9 +82,14 @@ func (t *Track) DurationSec() float64 { return t.EndSec() - t.StartSec() }
 // ID, sightings sort by (frame, object, cluster), and track IDs are
 // assigned in creation order.
 func Assemble(recs []*index.ClusterRecord, startSec, endSec float64) []*Track {
-	var all []Sighting
+	total := 0
 	for _, rec := range recs {
-		for _, m := range rec.Members {
+		total += len(rec.Members)
+	}
+	all := make([]Sighting, 0, total)
+	for _, rec := range recs {
+		for i := range rec.Members {
+			m := &rec.Members[i]
 			if m.TimeSec < startSec {
 				continue
 			}
@@ -99,14 +105,8 @@ func Assemble(recs []*index.ClusterRecord, startSec, endSec float64) []*Track {
 			})
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Frame != all[j].Frame {
-			return all[i].Frame < all[j].Frame
-		}
-		if all[i].Object != all[j].Object {
-			return all[i].Object < all[j].Object
-		}
-		return all[i].Cluster < all[j].Cluster
+	slices.SortFunc(all, func(a, b Sighting) int {
+		return cmp.Or(cmp.Compare(a.Frame, b.Frame), cmp.Compare(a.Object, b.Object), cmp.Compare(a.Cluster, b.Cluster))
 	})
 	// Each ingest sighting lands in exactly one cluster, so (frame, object)
 	// is unique; drop duplicates defensively to keep association
