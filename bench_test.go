@@ -18,9 +18,12 @@ import (
 	"testing"
 
 	"focus"
+	"focus/internal/cluster"
 	"focus/internal/experiments"
 	"focus/internal/scalebench"
 	"focus/internal/serve"
+	"focus/internal/video"
+	"focus/internal/vision"
 )
 
 var (
@@ -282,6 +285,136 @@ func BenchmarkNewCursor(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cur, err := sys.NewPlanCursor(p, planBenchOpts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if cur.Done() {
+			planBenchSink++
+		}
+	}
+}
+
+// ---- time-window read micro-benchmarks ----
+//
+// The other three request forms over the same corpus and window, verdicts
+// warm: what remains is reading a time window out of the index — track
+// assembly and set-up, and the frames form's union of member frames.
+
+const trackBenchExpr = "car & dur(5)"
+
+var trackBenchOpts = focus.TrackOptions{Leaf: planBenchOpts.Leaf}
+
+// BenchmarkTrackQueryWarmTop10 is a tracks request as routed_miss sends it:
+// assembly, set-up and the rounds a top 10 needs.
+func BenchmarkTrackQueryWarmTop10(b *testing.B) {
+	sys := planBenchSystem(b)
+	p, err := sys.CompileTrackQuery(trackBenchExpr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := trackBenchOpts
+	opts.TopK = 10
+	if _, err := sys.ExecuteTrackQuery(p, opts); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := sys.ExecuteTrackQuery(p, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Stats.GTInferences != 0 {
+			b.Fatalf("verdicts not warm: %d GT inferences", res.Stats.GTInferences)
+		}
+		planBenchSink += len(res.Items)
+	}
+}
+
+// BenchmarkTrackNewCursor measures track assembly and set-up alone, before
+// any verification round.
+func BenchmarkTrackNewCursor(b *testing.B) {
+	sys := planBenchSystem(b)
+	p, err := sys.CompileTrackQuery(trackBenchExpr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cur, err := sys.NewTrackCursor(p, trackBenchOpts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if cur.Done() {
+			planBenchSink++
+		}
+	}
+}
+
+// BenchmarkQueryWarmWindow is the frames form: one class, every stream, the
+// window's frames and segments of the matching clusters.
+func BenchmarkQueryWarmWindow(b *testing.B) {
+	sys := planBenchSystem(b)
+	q := focus.Query{Class: "car", Options: planBenchOpts.Leaf}
+	if _, err := sys.Query(q); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := sys.Query(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.GPUTimeMS != 0 {
+			b.Fatalf("verdicts not warm: %g GPU-ms", res.GPUTimeMS)
+		}
+		planBenchSink += res.TotalFrames
+	}
+}
+
+// BenchmarkTimelineAfterAdd is the live_ingest shape: a cluster is spilled
+// into the index, then a window is read at the watermark published before
+// the spill — so every read finds the index changed since the last one, and
+// returns what the last one did. A design that rebuilds its time order on
+// change pays the rebuild on every iteration here. The spilled clusters stay
+// in the shared corpus (invisible below their seal time, but there to be
+// skipped), so this benchmark stays last in the file and is compared at a
+// fixed -benchtime Nx.
+func BenchmarkTimelineAfterAdd(b *testing.B) {
+	sys := planBenchSystem(b)
+	p, err := sys.CompileTrackQuery(trackBenchExpr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess := sys.Session("auburn_c")
+	ix := sess.Index()
+	spill, err := cluster.NewEngine(cluster.Config{Threshold: 1000, MaxActive: 4}, ix.AddCluster)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := trackBenchOpts
+	opts.Streams = []string{sess.Name()}
+	opts.AtSec = ix.IngestSec()
+	ix.SetIngestSec(opts.AtSec + 1)
+	feature := make(vision.FeatureVec, vision.FeatureDim)
+	window := opts.Leaf.EndSec - opts.Leaf.StartSec
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Four sightings of a new object, each in a different second of the
+		// window; successive iterations walk through all of them.
+		for j := 0; j < 4; j++ {
+			sec := opts.Leaf.StartSec + float64((4*i+j)*23%int(window)) + 0.5
+			spill.Add(feature, cluster.Member{
+				Object:  video.ObjectID(1<<40 + i),
+				Frame:   video.FrameID(sec * video.NativeFPS),
+				TimeSec: sec,
+			}, nil)
+		}
+		spill.Flush()
+		cur, err := sys.NewTrackCursor(p, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,20 +3,30 @@
 // to them, plus per-cluster records holding the centroid ("representative")
 // object, the member sightings, and their frame IDs.
 //
-// Schema, following §3:
+// Schema, following §3, plus the time order every query reads it in (§5):
 //
 //	object class → ⟨cluster ID, rank of class in the cluster's top-K⟩
 //	cluster ID   → [centroid object, ⟨objects⟩ in cluster, ⟨frame IDs⟩]
+//	time run     → ⟨sighting references⟩ ordered by (frame, object, cluster)
 //
 // Looking up class X with a cut-off Kx ≤ K returns exactly the clusters
 // whose cluster-level top-Kx contains X, which is how the query engine
 // implements the dynamically adjustable Kx of §5.
+//
+// The first two mappings are what ingest writes and what is persisted. The
+// third is derived from them as records enter the index (timeline.go) and
+// never stored: every query is a time window, and it lets a reader walk a
+// window's sightings in stream order without gathering and sorting whole
+// clusters. Cluster IDs are dense (0..NextID-1), so the cluster mapping is
+// a table indexed by ID.
 package index
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -60,6 +70,10 @@ type ClusterRecord struct {
 	Rep cluster.Member
 	// Members are all sightings in the cluster (frame IDs and timestamps
 	// included), returned wholesale when the centroid matches the query.
+	// Once the record is in an index they are non-decreasing in TimeSec —
+	// ingest appends them in frame order, and a record that arrives
+	// otherwise is given a sorted copy — which is what lets Window cut a
+	// time range by binary search.
 	Members []cluster.Member
 	// MinTime and MaxTime bound the members' timestamps for time-ranged
 	// query pruning.
@@ -78,6 +92,38 @@ type ClusterRecord struct {
 // Size returns the number of member sightings.
 func (r *ClusterRecord) Size() int { return len(r.Members) }
 
+// Window returns the members with startSec <= TimeSec <= endSec (endSec <= 0
+// means unbounded), as a sub-slice of Members. It relies on the order an
+// index establishes for its records' Members.
+func (r *ClusterRecord) Window(startSec, endSec float64) []cluster.Member {
+	ms := r.Members
+	if r.MinTime >= startSec && (endSec <= 0 || r.MaxTime <= endSec) {
+		return ms
+	}
+	lo := sort.Search(len(ms), func(i int) bool { return ms[i].TimeSec >= startSec })
+	if endSec <= 0 {
+		return ms[lo:]
+	}
+	rest := ms[lo:]
+	return rest[:sort.Search(len(rest), func(i int) bool { return rest[i].TimeSec > endSec })]
+}
+
+func memberTimeCompare(a, b cluster.Member) int { return cmp.Compare(a.TimeSec, b.TimeSec) }
+
+// visibleAt follows the MaxSealSec convention of the query layer: 0 means
+// "everything indexed so far", a positive watermark keeps exactly the
+// records with SealSec <= maxSealSec. (Callers handle the negative, empty
+// horizon themselves: nothing is visible.)
+func (r *ClusterRecord) visibleAt(maxSealSec float64) bool {
+	return maxSealSec == 0 || r.SealSec <= maxSealSec
+}
+
+// Overlaps reports whether the record's time span meets [startSec, endSec]
+// (endSec <= 0 means unbounded).
+func (r *ClusterRecord) Overlaps(startSec, endSec float64) bool {
+	return r.MaxTime >= startSec && (endSec <= 0 || r.MinTime <= endSec)
+}
+
 // Posting is one entry of the class → clusters mapping.
 type Posting struct {
 	Cluster ClusterID
@@ -90,12 +136,18 @@ type Posting struct {
 // (single writer); reads happen at query time (many readers). All methods
 // are safe for concurrent use.
 type Index struct {
-	mu       sync.RWMutex
-	meta     IngestMeta
-	clusters map[ClusterID]*ClusterRecord
+	mu   sync.RWMutex
+	meta IngestMeta
+	// clusters is the dense cluster table: clusters[id].ID == id. Records
+	// are immutable once added and the table only grows, so a slice header
+	// taken under the lock stays a consistent snapshot after it is released.
+	clusters []*ClusterRecord
 	postings map[vision.ClassID][]Posting
-	sorted   bool
-	nextID   ClusterID
+	// unsorted holds the classes whose posting list gained an entry since it
+	// was last ordered.
+	unsorted map[vision.ClassID]struct{}
+	// runs is the sighting timeline (timeline.go).
+	runs []timelineRun
 	// ingestSec is the stream time ingestion has reached; AddCluster stamps
 	// it onto each spilled record as SealSec.
 	ingestSec float64
@@ -105,8 +157,8 @@ type Index struct {
 func New(meta IngestMeta) *Index {
 	return &Index{
 		meta:     meta,
-		clusters: make(map[ClusterID]*ClusterRecord),
 		postings: make(map[vision.ClassID][]Posting),
+		unsorted: make(map[vision.ClassID]struct{}),
 	}
 }
 
@@ -152,7 +204,7 @@ func (ix *Index) AddCluster(c *cluster.Cluster) {
 	topK := c.TopK(ix.meta.K)
 	minT, maxT := c.TimeRange()
 	rec := &ClusterRecord{
-		ID:      ix.nextID,
+		ID:      ClusterID(len(ix.clusters)),
 		TopK:    topK,
 		Rep:     c.Representative(),
 		Members: c.Members,
@@ -160,39 +212,42 @@ func (ix *Index) AddCluster(c *cluster.Cluster) {
 		MaxTime: maxT,
 		SealSec: ix.ingestSec,
 	}
-	ix.addRecordLocked(rec)
+	if err := ix.addRecordLocked(rec); err != nil {
+		panic(err) // unreachable: the ID was taken from the table's length
+	}
 }
 
-func (ix *Index) addRecordLocked(rec *ClusterRecord) {
-	if _, dup := ix.clusters[rec.ID]; dup {
-		panic(fmt.Sprintf("index: duplicate cluster ID %d", rec.ID))
+// addRecordLocked is the one place a record enters the index — spilled by
+// ingest, or read back by Load and LoadBounded — and so the one place its
+// invariants are established: the next dense ID, Members in time order,
+// postings for its top-K classes, and its sightings on the timeline.
+func (ix *Index) addRecordLocked(rec *ClusterRecord) error {
+	if rec.ID != ClusterID(len(ix.clusters)) {
+		return fmt.Errorf("index: cluster %d out of dense ID order (next is %d)", rec.ID, len(ix.clusters))
 	}
-	ix.clusters[rec.ID] = rec
-	if rec.ID >= ix.nextID {
-		ix.nextID = rec.ID + 1
+	if !slices.IsSortedFunc(rec.Members, memberTimeCompare) {
+		rec.Members = slices.Clone(rec.Members)
+		slices.SortStableFunc(rec.Members, memberTimeCompare)
 	}
+	ix.clusters = append(ix.clusters, rec)
 	for i, p := range rec.TopK {
 		ix.postings[p.Class] = append(ix.postings[p.Class], Posting{Cluster: rec.ID, Rank: i + 1})
+		ix.unsorted[p.Class] = struct{}{}
 	}
-	ix.sorted = false
+	ix.addToTimelineLocked(rec)
+	return nil
 }
 
-// ensureSorted orders every posting list by (rank, cluster) so Lookup can
-// cut by rank and return deterministic results.
+// ensureSorted restores (rank, cluster) order on the posting lists that
+// gained entries, so Lookup can cut by rank and return deterministic
+// results.
 func (ix *Index) ensureSorted() {
-	if ix.sorted {
-		return
-	}
-	for c := range ix.postings {
-		ps := ix.postings[c]
-		sort.Slice(ps, func(i, j int) bool {
-			if ps[i].Rank != ps[j].Rank {
-				return ps[i].Rank < ps[j].Rank
-			}
-			return ps[i].Cluster < ps[j].Cluster
+	for c := range ix.unsorted {
+		slices.SortFunc(ix.postings[c], func(a, b Posting) int {
+			return cmp.Or(cmp.Compare(a.Rank, b.Rank), cmp.Compare(a.Cluster, b.Cluster))
 		})
 	}
-	ix.sorted = true
+	clear(ix.unsorted)
 }
 
 // Lookup returns the clusters whose cluster-level top-kx contains class c,
@@ -202,7 +257,7 @@ func (ix *Index) ensureSorted() {
 // and the binary search.
 func (ix *Index) Lookup(c vision.ClassID, kx int) []*ClusterRecord {
 	ix.mu.RLock()
-	if !ix.sorted {
+	if len(ix.unsorted) > 0 {
 		// Upgrade to sort, then read while still holding the write lock —
 		// dropping it first would let a concurrent AddCluster unsort the
 		// postings under the binary search.
@@ -238,9 +293,9 @@ func (ix *Index) lookupLocked(c vision.ClassID, kx int) []*ClusterRecord {
 // watermark, ascending by cluster ID. It follows the MaxSealSec convention
 // used by the query layer: 0 means "everything indexed so far", a negative
 // value means "empty horizon" (no clusters), and a positive value keeps
-// exactly the records with SealSec <= maxSealSec. The track layer assembles
-// tracks from this set, which makes a track population a pure function of
-// the pinned watermark.
+// exactly the records with SealSec <= maxSealSec. Timeline applies the same
+// rule per sighting, which makes a track population a pure function of the
+// pinned watermark.
 func (ix *Index) ClustersSealedBy(maxSealSec float64) []*ClusterRecord {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -248,15 +303,10 @@ func (ix *Index) ClustersSealedBy(maxSealSec float64) []*ClusterRecord {
 		return nil
 	}
 	out := make([]*ClusterRecord, 0, len(ix.clusters))
-	for id := ClusterID(0); id < ix.nextID; id++ {
-		rec := ix.clusters[id]
-		if rec == nil {
-			continue
+	for _, rec := range ix.clusters {
+		if rec.visibleAt(maxSealSec) {
+			out = append(out, rec)
 		}
-		if maxSealSec != 0 && rec.SealSec > maxSealSec {
-			continue
-		}
-		out = append(out, rec)
 	}
 	return out
 }
@@ -276,7 +326,7 @@ func (ix *Index) Classes() []vision.ClassID {
 	for c := range ix.postings {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -291,6 +341,9 @@ func (ix *Index) NumClusters() int {
 func (ix *Index) Cluster(id ClusterID) *ClusterRecord {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
+	if id < 0 || id >= ClusterID(len(ix.clusters)) {
+		return nil
+	}
 	return ix.clusters[id]
 }
 
@@ -411,7 +464,7 @@ func (ix *Index) Save(store *kvstore.Store) error {
 func (ix *Index) NextID() ClusterID {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.nextID
+	return ClusterID(len(ix.clusters))
 }
 
 // IngestSec returns the stream time ingestion has reached (the SealSec that
@@ -441,11 +494,12 @@ func (ix *Index) SaveDelta(store *kvstore.Store, fromID ClusterID) (ClusterID, e
 	if err := store.Put(metaKey(ix.meta.Stream), buf.Bytes()); err != nil {
 		return fromID, err
 	}
-	for id := fromID; id < ix.nextID; id++ {
+	if fromID < 0 {
+		return fromID, fmt.Errorf("index: negative cluster ID %d", fromID)
+	}
+	next := ClusterID(len(ix.clusters))
+	for id := fromID; id < next; id++ {
 		rec := ix.clusters[id]
-		if rec == nil {
-			return fromID, fmt.Errorf("index: missing cluster %d in dense ID range", id)
-		}
 		buf.Reset()
 		if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
 			return fromID, fmt.Errorf("index: encode cluster %d: %w", rec.ID, err)
@@ -454,7 +508,7 @@ func (ix *Index) SaveDelta(store *kvstore.Store, fromID ClusterID) (ClusterID, e
 			return fromID, err
 		}
 	}
-	return ix.nextID, nil
+	return next, nil
 }
 
 // LoadBounded reads a stream's index back from the store, keeping only
@@ -482,21 +536,16 @@ func LoadBounded(store *kvstore.Store, stream string, belowID ClusterID) (*Index
 		if rec.ID >= belowID {
 			return true
 		}
-		ix.mu.Lock()
-		ix.addRecordLocked(&rec)
-		ix.mu.Unlock()
-		return true
+		loadErr = ix.addRecordLocked(&rec)
+		return loadErr == nil
 	})
 	if loadErr != nil {
 		return nil, loadErr
 	}
-	ix.mu.Lock()
-	if ix.nextID != belowID {
-		defer ix.mu.Unlock()
+	if next := ClusterID(len(ix.clusters)); next != belowID {
 		return nil, fmt.Errorf("index: stream %q checkpoint expects %d cluster records, store has %d",
-			stream, belowID, ix.nextID)
+			stream, belowID, next)
 	}
-	ix.mu.Unlock()
 	return ix, nil
 }
 
@@ -518,10 +567,8 @@ func Load(store *kvstore.Store, stream string) (*Index, error) {
 			loadErr = fmt.Errorf("index: decode cluster: %w", err)
 			return false
 		}
-		ix.mu.Lock()
-		ix.addRecordLocked(&rec)
-		ix.mu.Unlock()
-		return true
+		loadErr = ix.addRecordLocked(&rec)
+		return loadErr == nil
 	})
 	if loadErr != nil {
 		return nil, loadErr

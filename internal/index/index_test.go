@@ -150,20 +150,25 @@ func TestIndexAssignsUniqueIDs(t *testing.T) {
 	}
 }
 
-func TestDuplicateRecordPanics(t *testing.T) {
+// TestRecordOutOfDenseOrderRejected: the cluster table is indexed by ID, so
+// a record is accepted only under the next dense ID — a hole or a repeat
+// (either would mean a damaged store) is an error, not a silent overwrite.
+func TestRecordOutOfDenseOrderRejected(t *testing.T) {
 	ix := New(testMeta())
-	rec := &ClusterRecord{ID: 7}
-	ix.mu.Lock()
-	ix.addRecordLocked(rec)
-	ix.mu.Unlock()
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate record ID did not panic")
-		}
-	}()
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.addRecordLocked(rec)
+	if err := ix.addRecordLocked(&ClusterRecord{ID: 7}); err == nil {
+		t.Error("record 7 accepted by an empty index")
+	}
+	if err := ix.addRecordLocked(&ClusterRecord{ID: 0}); err != nil {
+		t.Errorf("record 0 rejected by an empty index: %v", err)
+	}
+	if err := ix.addRecordLocked(&ClusterRecord{ID: 0}); err == nil {
+		t.Error("duplicate record 0 accepted")
+	}
+	if len(ix.clusters) != 1 {
+		t.Errorf("table holds %d records, want 1", len(ix.clusters))
+	}
 }
 
 func TestStats(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"focus/internal/cluster"
 	"focus/internal/index"
 	"focus/internal/parallel"
 	"focus/internal/query"
@@ -576,8 +577,12 @@ func newStreamExec(p *Plan, t Target, opts Options) (*streamExec, error) {
 		epoch:          1,
 		bound:          -1,
 	}
-	byID := make(map[video.FrameID]int32)
-	for _, spec := range p.leaves {
+	// Retrieval first, for every leaf: its candidates in verification order
+	// and, by binary search, the members of each inside the leaf's window.
+	// Only then is the span of frame IDs known that the frame table numbers.
+	windows := make([][][]cluster.Member, len(p.leaves))
+	loFrame, hiFrame := video.FrameID(0), video.FrameID(-1)
+	for li, spec := range p.leaves {
 		lopts := spec.opts
 		if lopts == (LeafOptions{}) {
 			lopts = opts.DefaultLeaf
@@ -617,12 +622,31 @@ func newStreamExec(p *Plan, t Target, opts Options) (*streamExec, error) {
 		le.confs = make([]float64, len(sc))
 		le.state = make([]int8, len(sc))
 		le.frameOff = make([]int32, 1, len(sc)+1)
+		windows[li] = make([][]cluster.Member, len(sc))
 		for i, e := range sc {
 			le.cands[i] = e.rec
 			le.confs[i] = e.conf
-			s.registerMembers(le, e.rec, lopts, byID)
+			win := e.rec.Window(lopts.StartSec, lopts.EndSec)
+			windows[li][i] = win
+			for j := range win {
+				f := win[j].Frame
+				if hiFrame < loFrame { // empty so far
+					loFrame, hiFrame = f, f
+				} else {
+					loFrame, hiFrame = min(loFrame, f), max(hiFrame, f)
+				}
+			}
 		}
 		s.leaves = append(s.leaves, le)
+	}
+	// frameNo[id-loFrame] is one more than the number of frame id, or zero
+	// while it has none: a table exactly as long as the span, where a map
+	// keyed by frame ID would hash every member and grow as it filled.
+	frameNo := make([]int32, hiFrame-loFrame+1)
+	for li, le := range s.leaves {
+		for _, win := range windows[li] {
+			s.registerMembers(le, win, frameNo, loFrame)
+		}
 	}
 	s.buildFrameTable()
 	// Short-circuit order: most selective leaf first (fewest candidates),
@@ -654,27 +678,21 @@ func classConfidence(rec *index.ClusterRecord, lookup vision.ClassID) float64 {
 	return 0
 }
 
-// registerMembers appends the next candidate of le: the cluster's distinct
-// member frames within the leaf's window, in first-appearance order,
-// numbering frames the table has not seen yet (with the timestamp of that
-// first sighting).
-func (s *streamExec) registerMembers(le *leafExec, rec *index.ClusterRecord, opts LeafOptions, byID map[video.FrameID]int32) {
-	for i := range rec.Members {
-		m := &rec.Members[i]
-		if m.TimeSec < opts.StartSec {
-			continue
-		}
-		if opts.EndSec > 0 && m.TimeSec > opts.EndSec {
-			continue
-		}
-		f, ok := byID[m.Frame]
-		if !ok {
-			f = int32(len(s.frameID))
-			byID[m.Frame] = f
+// registerMembers appends the next candidate of le: the distinct frames of
+// the cluster's members inside the leaf's window, in first-appearance
+// order, numbering frames the table has not seen yet (with the timestamp of
+// that first sighting).
+func (s *streamExec) registerMembers(le *leafExec, window []cluster.Member, frameNo []int32, loFrame video.FrameID) {
+	for i := range window {
+		m := &window[i]
+		no := &frameNo[m.Frame-loFrame]
+		if *no == 0 {
 			s.frameID = append(s.frameID, m.Frame)
 			s.timeSec = append(s.timeSec, m.TimeSec)
 			s.stamp = append(s.stamp, 0)
+			*no = int32(len(s.frameID))
 		}
+		f := *no - 1
 		if s.stamp[f] == s.epoch {
 			continue
 		}

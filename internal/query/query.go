@@ -12,7 +12,6 @@ package query
 
 import (
 	"fmt"
-	"sort"
 
 	"focus/internal/cluster"
 	"focus/internal/gpu"
@@ -140,7 +139,7 @@ func (e *Engine) Candidates(c vision.ClassID, opts Options) (cands []*index.Clus
 		if opts.MaxSealSec != 0 && rec.SealSec > opts.MaxSealSec {
 			continue
 		}
-		if !overlapsWindow(rec, opts) {
+		if !rec.Overlaps(opts.StartSec, opts.EndSec) {
 			continue
 		}
 		cands = append(cands, rec)
@@ -148,29 +147,19 @@ func (e *Engine) Candidates(c vision.ClassID, opts Options) (cands []*index.Clus
 	return cands, viaOther, nil
 }
 
-// SealedClusters returns the cluster records visible at the options'
-// watermark (MaxSealSec, same semantics as Candidates) that overlap the
-// options' time window, ascending by cluster ID, capped at MaxClusters.
-// No class lookup is involved: this is the retrieval primitive for the
-// track layer, which assembles every visible sighting into tracks first
-// and consults class postings only afterwards. Like Candidates it touches
-// only the in-memory index — no GPU time.
-func (e *Engine) SealedClusters(opts Options) ([]*index.ClusterRecord, error) {
+// Timeline returns the index's sighting timeline for the options' time
+// window at the options' watermark (MaxSealSec, same semantics as
+// Candidates), limited to the first MaxClusters visible clusters that
+// overlap the window, ascending by cluster ID. No class lookup is involved:
+// this is the retrieval primitive for the track layer, which assembles every
+// visible sighting into tracks first and consults class postings only
+// afterwards. Like Candidates it touches only the in-memory index — no GPU
+// time.
+func (e *Engine) Timeline(opts Options) (*index.Timeline, error) {
 	if opts.MaxClusters < 0 {
 		return nil, fmt.Errorf("query: negative MaxClusters")
 	}
-	recs := e.ix.ClustersSealedBy(opts.MaxSealSec)
-	out := make([]*index.ClusterRecord, 0, len(recs))
-	for _, rec := range recs {
-		if opts.MaxClusters > 0 && len(out) >= opts.MaxClusters {
-			break
-		}
-		if !overlapsWindow(rec, opts) {
-			continue
-		}
-		out = append(out, rec)
-	}
-	return out, nil
+	return e.ix.Timeline(opts.StartSec, opts.EndSec, opts.MaxSealSec, opts.MaxClusters), nil
 }
 
 // ClassStanding reports how class c stands in one cluster's top-Kx cut,
@@ -304,60 +293,86 @@ func (e *Engine) Query(c vision.ClassID, opts Options) (*Result, error) {
 	res.GTInferences = verifier.Inferences
 	res.GPUTimeMS = verifier.GPUTimeMS
 
-	// QT4: the frames of every cluster whose centroid matched.
-	frameSet := make(map[video.FrameID]struct{})
-	segSet := make(map[video.SegmentID]struct{})
+	// QT4: the frames of every cluster whose centroid matched. Each record
+	// yields its window's members by binary search; frames and segments are
+	// marked in tables over the span those members cover and read back
+	// ascending.
+	wins := make([][]cluster.Member, 0, len(cands))
+	var frames, segs span
 	for i, rec := range cands {
 		if verdicts[i] != c {
 			continue
 		}
 		res.MatchedClusters++
-		for _, m := range rec.Members {
-			if !inWindow(m.TimeSec, opts) {
-				continue
-			}
-			frameSet[m.Frame] = struct{}{}
-			segSet[video.SegmentOf(m.TimeSec)] = struct{}{}
+		win := rec.Window(opts.StartSec, opts.EndSec)
+		if len(win) == 0 {
+			continue
 		}
+		wins = append(wins, win)
+		for j := range win {
+			frames.include(int64(win[j].Frame))
+		}
+		// Members are in time order, so the ends bound the segments.
+		segs.include(int64(video.SegmentOf(win[0].TimeSec)))
+		segs.include(int64(video.SegmentOf(win[len(win)-1].TimeSec)))
 	}
 	res.LatencyMS = verifier.LatencyMS()
 
-	res.Frames = make([]video.FrameID, 0, len(frameSet))
-	for f := range frameSet {
-		res.Frames = append(res.Frames, f)
+	frameSeen, segSeen := frames.table(), segs.table()
+	for _, win := range wins {
+		for j := range win {
+			frameSeen[int64(win[j].Frame)-frames.lo] = true
+			segSeen[int64(video.SegmentOf(win[j].TimeSec))-segs.lo] = true
+		}
 	}
-	sort.Slice(res.Frames, func(i, j int) bool { return res.Frames[i] < res.Frames[j] })
-	res.Segments = make([]video.SegmentID, 0, len(segSet))
-	for s := range segSet {
-		res.Segments = append(res.Segments, s)
-	}
-	sort.Slice(res.Segments, func(i, j int) bool { return res.Segments[i] < res.Segments[j] })
+	res.Frames = marked[video.FrameID](frameSeen, frames.lo)
+	res.Segments = marked[video.SegmentID](segSeen, segs.lo)
 	return res, nil
+}
+
+// span is the closed range of the integers included so far; the zero value
+// is empty.
+type span struct {
+	lo, hi int64
+	any    bool
+}
+
+func (s *span) include(v int64) {
+	if !s.any {
+		s.lo, s.hi, s.any = v, v, true
+		return
+	}
+	s.lo, s.hi = min(s.lo, v), max(s.hi, v)
+}
+
+// table returns one mark per integer of the span.
+func (s *span) table() []bool {
+	if !s.any {
+		return nil
+	}
+	return make([]bool, s.hi-s.lo+1)
+}
+
+// marked lists the marked positions of a table, offset by lo, ascending.
+func marked[T ~int64](seen []bool, lo int64) []T {
+	n := 0
+	for _, ok := range seen {
+		if ok {
+			n++
+		}
+	}
+	out := make([]T, 0, n)
+	for i, ok := range seen {
+		if ok {
+			out = append(out, T(lo+int64(i)))
+		}
+	}
+	return out
 }
 
 // CachedVerdicts returns how many cluster verdicts are memoized, a measure
 // of cross-query GT-CNN reuse (§6.7).
 func (e *Engine) CachedVerdicts() int { return e.gtCache.len() }
-
-func overlapsWindow(rec *index.ClusterRecord, opts Options) bool {
-	if opts.EndSec > 0 && rec.MinTime > opts.EndSec {
-		return false
-	}
-	if rec.MaxTime < opts.StartSec {
-		return false
-	}
-	return true
-}
-
-func inWindow(t float64, opts Options) bool {
-	if t < opts.StartSec {
-		return false
-	}
-	if opts.EndSec > 0 && t > opts.EndSec {
-		return false
-	}
-	return true
-}
 
 func containsClass(cs []vision.ClassID, c vision.ClassID) bool {
 	for _, x := range cs {

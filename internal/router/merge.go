@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"focus/api"
@@ -113,6 +114,20 @@ func trackRanksBefore(a, b api.TrackItem) bool {
 	return a.Track < b.Track
 }
 
+// rankCompare turns one of the total orders above into the three-way
+// comparison slices.SortFunc takes.
+func rankCompare[T any](before func(a, b T) bool) func(a, b T) int {
+	return func(a, b T) int {
+		switch {
+		case before(a, b):
+			return -1
+		case before(b, a):
+			return 1
+		}
+		return 0
+	}
+}
+
 // mergeTracks combines per-shard tracks-form responses exactly as
 // mergeRanked combines ranked ones: per-shard track rankings interleave
 // under trackRanksBefore and truncate to topK. Track assembly is
@@ -159,7 +174,7 @@ func mergeTracks(topK int, parts []*api.QueryResponse) (*api.QueryResponse, erro
 	for _, p := range parts {
 		out.Tracks = append(out.Tracks, p.Tracks...)
 	}
-	sort.Slice(out.Tracks, func(i, j int) bool { return trackRanksBefore(out.Tracks[i], out.Tracks[j]) })
+	slices.SortFunc(out.Tracks, rankCompare(trackRanksBefore))
 	if topK > 0 && len(out.Tracks) > topK {
 		out.Tracks = out.Tracks[:topK]
 	}
@@ -215,7 +230,7 @@ func mergeRanked(topK int, parts []*api.QueryResponse) (*api.QueryResponse, erro
 	for _, p := range parts {
 		out.Items = append(out.Items, p.Items...)
 	}
-	sort.Slice(out.Items, func(i, j int) bool { return itemRanksBefore(out.Items[i], out.Items[j]) })
+	slices.SortFunc(out.Items, rankCompare(itemRanksBefore))
 	if topK > 0 && len(out.Items) > topK {
 		out.Items = out.Items[:topK]
 	}

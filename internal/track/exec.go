@@ -331,20 +331,16 @@ func newTrackExec(p *Plan, t plan.Target, opts Options) (*trackExec, error) {
 		MaxClusters: opts.DefaultLeaf.MaxClusters,
 		MaxSealSec:  t.Watermark,
 	}
-	recs, err := t.Engine.SealedClusters(qopts)
+	tl, err := t.Engine.Timeline(qopts)
 	if err != nil {
 		return nil, fmt.Errorf("track: stream %q: %w", t.Stream, err)
-	}
-	byID := make(map[index.ClusterID]*index.ClusterRecord, len(recs))
-	for _, rec := range recs {
-		byID[rec.ID] = rec
 	}
 	s := &trackExec{
 		name:           t.Stream,
 		watermark:      t.Watermark,
 		plan:           p,
 		verifier:       verifier,
-		tracks:         Assemble(recs, opts.DefaultLeaf.StartSec, opts.DefaultLeaf.EndSec),
+		tracks:         Assemble(tl),
 		uniqueVerified: make(map[index.ClusterID]struct{}),
 		bound:          -1,
 	}
@@ -352,14 +348,23 @@ func newTrackExec(p *Plan, t plan.Target, opts Options) (*trackExec, error) {
 	for li, spec := range p.leaves {
 		s.classStats[li].Class = spec.name
 	}
+	// Per-track state is carved from one array per field.
+	nl, na := len(p.leaves), len(p.atoms)
+	states := make([]trackState, len(s.tracks))
+	classTV := make([]int8, len(s.tracks)*nl)
+	classConf := make([]float64, len(s.tracks)*nl)
+	atomVals := make([]int8, len(s.tracks)*na)
+	s.states = make([]*trackState, len(s.tracks))
 	jobByCluster := make(map[index.ClusterID]*clusterJob)
 	for ti, tr := range s.tracks {
-		ts := &trackState{
+		ts := &states[ti]
+		*ts = trackState{
 			tr:        tr,
-			classTV:   make([]int8, len(p.leaves)),
-			classConf: make([]float64, len(p.leaves)),
-			atomVals:  make([]int8, len(p.atoms)),
+			classTV:   classTV[ti*nl : (ti+1)*nl : (ti+1)*nl],
+			classConf: classConf[ti*nl : (ti+1)*nl : (ti+1)*nl],
+			atomVals:  atomVals[ti*na : (ti+1)*na : (ti+1)*na],
 		}
+		s.states[ti] = ts
 		for ai, atom := range p.atoms {
 			if atom(tr) {
 				ts.atomVals[ai] = tvTrue
@@ -367,7 +372,7 @@ func newTrackExec(p *Plan, t plan.Target, opts Options) (*trackExec, error) {
 				ts.atomVals[ai] = tvFalse
 			}
 		}
-		dom := byID[tr.Dominant]
+		dom := tl.Cluster(tr.Dominant)
 		needsVerdict := false
 		for li, spec := range p.leaves {
 			lopts := spec.opts
@@ -388,7 +393,6 @@ func newTrackExec(p *Plan, t plan.Target, opts Options) (*trackExec, error) {
 			s.classStats[li].InCut++
 			needsVerdict = true
 		}
-		s.states = append(s.states, ts)
 		if !needsVerdict {
 			continue
 		}

@@ -23,7 +23,6 @@
 package track
 
 import (
-	"cmp"
 	"slices"
 
 	"focus/internal/index"
@@ -68,58 +67,23 @@ func (t *Track) EndSec() float64 { return t.Sightings[len(t.Sightings)-1].TimeSe
 // DurationSec returns the track's time span (0 for single-sighting tracks).
 func (t *Track) DurationSec() float64 { return t.EndSec() - t.StartSec() }
 
-// Assemble builds the track population from a set of sealed cluster
-// records, keeping only sightings within [startSec, endSec] (endSec <= 0
-// means unbounded). Association mirrors the ingest pipeline's pixel-diff
-// adjacency: sightings in consecutive frames (at the observed frame
-// stride) join the same track when their bounding boxes overlap best and
-// they are the same physical object — the identity check standing in for
-// the pixel comparison a real tracker performs, exactly as in ingest
-// deduplication. A frame gap other than one stride breaks every open
-// track, like the ingest worker clearing its association table.
+// Assemble builds the track population of an index timeline: the sightings
+// of one time window, from the clusters visible at one watermark, which the
+// timeline already holds in (frame, object, cluster) order — so assembly
+// costs O(sightings in the window), with no gather over whole clusters and
+// no sort. Association mirrors the ingest pipeline's pixel-diff adjacency:
+// sightings in consecutive frames (at the observed frame stride) join the
+// same track when their bounding boxes overlap best and they are the same
+// physical object — the identity check standing in for the pixel comparison
+// a real tracker performs, exactly as in ingest deduplication. A frame gap
+// other than one stride breaks every open track, like the ingest worker
+// clearing its association table.
 //
-// The result is deterministic: records are consumed in ascending cluster
-// ID, sightings sort by (frame, object, cluster), and track IDs are
-// assigned in creation order.
-func Assemble(recs []*index.ClusterRecord, startSec, endSec float64) []*Track {
-	total := 0
-	for _, rec := range recs {
-		total += len(rec.Members)
-	}
-	all := make([]Sighting, 0, total)
-	for _, rec := range recs {
-		for i := range rec.Members {
-			m := &rec.Members[i]
-			if m.TimeSec < startSec {
-				continue
-			}
-			if endSec > 0 && m.TimeSec > endSec {
-				continue
-			}
-			all = append(all, Sighting{
-				Frame:   m.Frame,
-				TimeSec: m.TimeSec,
-				Object:  m.Object,
-				BBox:    m.BBox,
-				Cluster: rec.ID,
-			})
-		}
-	}
-	slices.SortFunc(all, func(a, b Sighting) int {
-		return cmp.Or(cmp.Compare(a.Frame, b.Frame), cmp.Compare(a.Object, b.Object), cmp.Compare(a.Cluster, b.Cluster))
-	})
-	// Each ingest sighting lands in exactly one cluster, so (frame, object)
-	// is unique; drop duplicates defensively to keep association
-	// well-defined on hand-built indexes.
-	dedup := all[:0]
-	for i, s := range all {
-		if i > 0 && s.Frame == all[i-1].Frame && s.Object == all[i-1].Object {
-			continue
-		}
-		dedup = append(dedup, s)
-	}
-	all = dedup
-	if len(all) == 0 {
+// The result is deterministic: the timeline's order is total, and track IDs
+// are assigned in creation order.
+func Assemble(tl *index.Timeline) []*Track {
+	refs := tl.Sightings()
+	if len(refs) == 0 {
 		return nil
 	}
 
@@ -128,8 +92,8 @@ func Assemble(recs []*index.ClusterRecord, startSec, endSec float64) []*Track {
 	// is recovered from the data so assembly stays a pure function of the
 	// sealed records.
 	stride := video.FrameID(0)
-	for i := 1; i < len(all); i++ {
-		if d := all[i].Frame - all[i-1].Frame; d > 0 && (stride == 0 || d < stride) {
+	for i := 1; i < len(refs); i++ {
+		if d := refs[i].Frame - refs[i-1].Frame; d > 0 && (stride == 0 || d < stride) {
 			stride = d
 		}
 	}
@@ -137,39 +101,79 @@ func Assemble(recs []*index.ClusterRecord, startSec, endSec float64) []*Track {
 		stride = 1
 	}
 
-	var tracks []*Track
+	// First pass: associate. trackOf[i] is the track sighting i joins and
+	// sizes[t] how many sightings track t ends up with, so the second pass
+	// can carve every track's Sightings out of one array.
+	trackOf := make([]int32, len(refs))
+	var sizes []int32
 	var prev, cur []prevEntry
 	prevFrame := video.FrameID(-1)
-	for i := 0; i < len(all); {
+	kept := 0
+	for i := 0; i < len(refs); {
 		j := i
-		for j < len(all) && all[j].Frame == all[i].Frame {
+		for j < len(refs) && refs[j].Frame == refs[i].Frame {
 			j++
 		}
 		// A gap other than one stride means the association table describes
 		// a frame the current one was never adjacent to: clear it, breaking
 		// open tracks (mirrors ingest.ProcessFrame).
-		if prevFrame >= 0 && all[i].Frame-prevFrame != stride {
+		if prevFrame >= 0 && refs[i].Frame-prevFrame != stride {
 			prev = prev[:0]
 		}
-		prevFrame = all[i].Frame
-		for _, s := range all[i:j] {
-			ti := -1
-			if p := matchPrev(prev, s); p >= 0 {
-				ti = prev[p].track
-				tracks[ti].Sightings = append(tracks[ti].Sightings, s)
-			} else {
-				ti = len(tracks)
-				tracks = append(tracks, &Track{ID: int64(ti), Sightings: []Sighting{s}})
+		prevFrame = refs[i].Frame
+		for k := i; k < j; k++ {
+			m := tl.Member(refs[k])
+			// Each ingest sighting lands in exactly one cluster, so (frame,
+			// object) is unique; on a hand-built index only the first copy
+			// counts, which keeps association well defined.
+			if n := len(cur); n > 0 && cur[n-1].object == m.Object {
+				trackOf[k] = -1
+				continue
 			}
-			cur = append(cur, prevEntry{s.BBox, s.Object, ti})
+			ti := int32(len(sizes))
+			if p := matchPrev(prev, m.BBox, m.Object); p >= 0 {
+				ti = prev[p].track
+				sizes[ti]++
+			} else {
+				sizes = append(sizes, 1)
+			}
+			trackOf[k] = ti
+			cur = append(cur, prevEntry{m.BBox, m.Object, ti})
+			kept++
 		}
 		// Rotate the association table, exactly as ingest does.
 		prev, cur = cur, prev[:0]
 		i = j
 	}
 
+	// Second pass: fill. Each track's slice is capped at its final size, so
+	// the appends below never grow or run into a neighbour.
+	arena := make([]Sighting, kept)
+	block := make([]Track, len(sizes))
+	tracks := make([]*Track, len(sizes))
+	off := int32(0)
+	for ti, n := range sizes {
+		block[ti] = Track{ID: int64(ti), Sightings: arena[off : off : off+n]}
+		tracks[ti] = &block[ti]
+		off += n
+	}
+	for k, ref := range refs {
+		if trackOf[k] < 0 {
+			continue
+		}
+		m := tl.Member(ref)
+		tr := &block[trackOf[k]]
+		tr.Sightings = append(tr.Sightings, Sighting{
+			Frame:   m.Frame,
+			TimeSec: m.TimeSec,
+			Object:  m.Object,
+			BBox:    m.BBox,
+			Cluster: index.ClusterID(ref.Cluster),
+		})
+	}
+	var tally []clusterTally
 	for _, tr := range tracks {
-		tr.Dominant = dominantCluster(tr.Sightings)
+		tr.Dominant, tally = dominantCluster(tr.Sightings, tally[:0])
 	}
 	return tracks
 }
@@ -180,67 +184,70 @@ func Assemble(recs []*index.ClusterRecord, startSec, endSec float64) []*Track {
 type prevEntry struct {
 	bbox   video.Rect
 	object video.ObjectID
-	track  int
+	track  int32
 }
 
 // matchPrev returns the index of the previous-frame entry whose bounding
-// box overlaps s best, provided it is the same physical object, or -1.
+// box overlaps bbox best, provided it is the same physical object, or -1.
 // This is the ingest worker's matchPrev over the track layer's table: the
 // identity check stands in for the pixel comparison a real system
 // performs (two different objects in the same region have very different
 // pixels).
-func matchPrev(prev []prevEntry, s Sighting) int {
+func matchPrev(prev []prevEntry, bbox video.Rect, object video.ObjectID) int {
 	best := -1
 	bestArea := 0
 	for i := range prev {
-		if a := intersectionArea(prev[i].bbox, s.BBox); a > bestArea {
+		if a := intersectionArea(prev[i].bbox, bbox); a > bestArea {
 			bestArea = a
 			best = i
 		}
 	}
-	if best < 0 || prev[best].object != s.Object {
+	if best < 0 || prev[best].object != object {
 		return -1
 	}
 	return best
 }
 
+// clusterTally counts one cluster's sightings within a track.
+type clusterTally struct {
+	id index.ClusterID
+	n  int
+}
+
 // dominantCluster returns the cluster contributing the most sightings,
-// ties to the lowest ID.
-func dominantCluster(ss []Sighting) index.ClusterID {
-	counts := make(map[index.ClusterID]int, 4)
+// ties to the lowest ID. A track draws on a handful of clusters, mostly in
+// stretches, so the tally is a short list searched from the last hit; the
+// caller passes it back in (emptied) for the next track.
+func dominantCluster(ss []Sighting, tally []clusterTally) (index.ClusterID, []clusterTally) {
+	at := 0
 	for _, s := range ss {
-		counts[s.Cluster]++
+		if at >= len(tally) || tally[at].id != s.Cluster {
+			at = slices.IndexFunc(tally, func(t clusterTally) bool { return t.id == s.Cluster })
+			if at < 0 {
+				at = len(tally)
+				tally = append(tally, clusterTally{id: s.Cluster})
+			}
+		}
+		tally[at].n++
 	}
-	bestID, bestN := index.ClusterID(-1), 0
-	for id, n := range counts {
-		if n > bestN || (n == bestN && id < bestID) {
-			bestID, bestN = id, n
+	best := clusterTally{id: -1}
+	for _, t := range tally {
+		if t.n > best.n || (t.n == best.n && t.id < best.id) {
+			best = t
 		}
 	}
-	return bestID
+	return best.id, tally
 }
 
 func intersectionArea(a, b video.Rect) int {
-	x0 := maxInt(a.X, b.X)
-	y0 := maxInt(a.Y, b.Y)
-	x1 := minInt(a.X+a.W, b.X+b.W)
-	y1 := minInt(a.Y+a.H, b.Y+b.H)
-	if x1 <= x0 || y1 <= y0 {
+	// Most pairs miss on the first axis; test it before touching the other.
+	x0, x1 := max(a.X, b.X), min(a.X+a.W, b.X+b.W)
+	if x1 <= x0 {
+		return 0
+	}
+	y0, y1 := max(a.Y, b.Y), min(a.Y+a.H, b.Y+b.H)
+	if y1 <= y0 {
 		return 0
 	}
 	return (x1 - x0) * (y1 - y0)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -140,8 +140,7 @@ func targetsAt(e *query.Engine, wm float64) []plan.Target {
 // cluster seals" case) and that the gap at frame 20 starts a new track.
 func TestAssembleAcrossClusterSeals(t *testing.T) {
 	ix, _ := buildIndex(t, 2, crossingSpecs())
-	recs := ix.ClustersSealedBy(0)
-	tracks := track.Assemble(recs, 0, 0)
+	tracks := track.Assemble(ix.Timeline(0, 0, 0, 0))
 	if len(tracks) != 3 {
 		t.Fatalf("%d tracks, want 3 (crossing, loiterer, reappearance)", len(tracks))
 	}
@@ -170,14 +169,14 @@ func TestAssembleAcrossClusterSeals(t *testing.T) {
 // truncated; negative watermark is the empty horizon.
 func TestAssembleWatermark(t *testing.T) {
 	ix, _ := buildIndex(t, 2, crossingSpecs())
-	tracks := track.Assemble(ix.ClustersSealedBy(3), 0, 0)
+	tracks := track.Assemble(ix.Timeline(0, 0, 3, 0))
 	if len(tracks) != 1 {
 		t.Fatalf("%d tracks at watermark 3, want 1", len(tracks))
 	}
 	if got := len(tracks[0].Sightings); got != 3 {
 		t.Errorf("truncated track has %d sightings, want 3", got)
 	}
-	if tracks := track.Assemble(ix.ClustersSealedBy(-1), 0, 0); len(tracks) != 0 {
+	if tracks := track.Assemble(ix.Timeline(0, 0, -1, 0)); len(tracks) != 0 {
 		t.Errorf("negative watermark assembled %d tracks, want 0", len(tracks))
 	}
 }
