@@ -31,9 +31,12 @@
 //     contract on both sides, and its merged responses are bit-identical
 //     to a single node holding every stream.
 //
-// The legacy endpoints (GET /query, POST /plan) remain as deprecated shims
-// over this surface; see DESIGN.md §7 for the full wire contract and
-// OPERATIONS.md for the operator's view (error table, curl walkthrough).
+// The ranked and tracks forms share one answer core (ranked.go): rank
+// order, diff, delta apply, page slice and cursor minting are written once,
+// generic over the item type, and ResolveRequest (exec.go) is the one rule
+// deciding what a request means. See DESIGN.md §7 for the full wire
+// contract and OPERATIONS.md for the operator's view (error table, curl
+// walkthrough).
 package api
 
 // Version is the wire-contract version segment every v1 path starts with.
@@ -51,18 +54,3 @@ const (
 	// counter sets), so it is served as raw JSON.
 	PathStats = "/v1/stats"
 )
-
-// Legacy (pre-v1) endpoint paths, kept as deprecated shims that translate
-// into the v1 handler. Responses are byte-identical to the pre-v1 wire
-// format and additionally carry a "Deprecation: true" header; servers
-// count their use in the stats legacy_requests counter so operators can
-// track client migration.
-const (
-	// PathLegacyQuery is the deprecated GET single-class query endpoint.
-	PathLegacyQuery = "/query"
-	// PathLegacyPlan is the deprecated POST compound-plan endpoint.
-	PathLegacyPlan = "/plan"
-)
-
-// DeprecationHeader is set to "true" on every legacy-shim response.
-const DeprecationHeader = "Deprecation"

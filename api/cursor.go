@@ -106,25 +106,6 @@ func DecodeCursor(token string) (*Cursor, error) {
 	return &c, nil
 }
 
-// CursorForRequest decodes a cursor-bearing request, enforcing the one
-// rule every server applies identically: a cursor request carries only
-// the token (and optionally Limit) — everything else is frozen inside the
-// token and must be zero. Shared by the serve layer and the router so the
-// two can never diverge on cursor-request semantics.
-func CursorForRequest(req *QueryRequest) (*Cursor, *Error) {
-	if req.Expr != "" || len(req.Streams) > 0 || req.TopK != 0 || req.Kx != 0 ||
-		req.Start != 0 || req.End != 0 || req.MaxClusters != 0 || len(req.At) > 0 ||
-		req.Form != "" || req.Mode != "" {
-		return nil, Errorf(CodeBadCursor,
-			"a cursor request must carry only cursor (and optionally limit); everything else is frozen in the token")
-	}
-	cur, err := DecodeCursor(req.Cursor)
-	if err != nil {
-		return nil, Errorf(CodeBadCursor, "%v", err)
-	}
-	return cur, nil
-}
-
 // ContinuationToken mints the next-page token after serving pageLen items
 // at offset out of total, or "" when the read was unpaged (limit <= 0) or
 // is exhausted. The cursor value carries the frozen execution identity
@@ -137,32 +118,4 @@ func ContinuationToken(c Cursor, limit, offset, pageLen, total int) string {
 	}
 	c.Offset = next
 	return c.Encode()
-}
-
-// PageItems slices a ranked item list to the requested page; limit 0
-// means everything from offset on. Always returns a non-nil slice so an
-// empty page serializes as [] rather than null. The one shared slicing
-// implementation — routed pages must equal single-node pages.
-func PageItems(items []Item, limit, offset int) []Item {
-	if offset >= len(items) {
-		return []Item{}
-	}
-	items = items[offset:]
-	if limit > 0 && limit < len(items) {
-		items = items[:limit]
-	}
-	return items
-}
-
-// PageTracks is PageItems for the tracks form: same slicing, same non-nil
-// guarantee, shared by the serve layer and the router.
-func PageTracks(tracks []TrackItem, limit, offset int) []TrackItem {
-	if offset >= len(tracks) {
-		return []TrackItem{}
-	}
-	tracks = tracks[offset:]
-	if limit > 0 && limit < len(tracks) {
-		tracks = tracks[:limit]
-	}
-	return tracks
 }

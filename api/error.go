@@ -106,8 +106,8 @@ type Envelope struct {
 
 // DecodeError reconstructs the *Error of a non-2xx response from its
 // status and body. Bodies that are not a v1 envelope (a proxy's HTML 502,
-// a legacy string error) degrade to a code inferred from the status with
-// the raw body as the message, so callers always get a usable *Error.
+// a bare string) degrade to a code inferred from the status with the raw
+// body as the message, so callers always get a usable *Error.
 func DecodeError(status int, body []byte) *Error {
 	var env Envelope
 	if err := json.Unmarshal(body, &env); err == nil && env.Err != nil && env.Err.Code != "" {

@@ -342,177 +342,6 @@ func (s *SSEReader) Next() (*SubscribeEvent, error) {
 	}
 }
 
-// ItemRankBefore reports whether a ranks strictly before b in the ranked
-// form's total order: score descending, then stream ascending, then frame
-// ascending. It mirrors the engine's ordering (internal/plan.RankBefore)
-// on the wire type; the equivalence is pinned by tests so the two can
-// never drift.
-func ItemRankBefore(a, b Item) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
-	}
-	if a.Stream != b.Stream {
-		return a.Stream < b.Stream
-	}
-	return a.Frame < b.Frame
-}
-
-// TrackRankBefore mirrors internal/track's ordering on the wire type:
-// score descending, then stream, then start time, then track ID.
-func TrackRankBefore(a, b TrackItem) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
-	}
-	if a.Stream != b.Stream {
-		return a.Stream < b.Stream
-	}
-	if a.StartSec != b.StartSec {
-		return a.StartSec < b.StartSec
-	}
-	return a.Track < b.Track
-}
-
-// DiffItems computes the edit from one rank-ordered ranked answer to
-// another: added holds next's items absent from prev (in rank order),
-// removed prev's items absent from next. Equality is whole-struct — a
-// frame whose score changed is a removal plus an addition. Diffs compose:
-// applying diff(a,b) then diff(b,c) equals applying diff(a,c).
-func DiffItems(prev, next []Item) (added, removed []Item) {
-	i, j := 0, 0
-	for i < len(prev) && j < len(next) {
-		switch {
-		case prev[i] == next[j]:
-			i++
-			j++
-		case ItemRankBefore(prev[i], next[j]):
-			removed = append(removed, prev[i])
-			i++
-		case ItemRankBefore(next[j], prev[i]):
-			added = append(added, next[j])
-			j++
-		default:
-			// Same rank key, different struct: replace.
-			removed = append(removed, prev[i])
-			added = append(added, next[j])
-			i++
-			j++
-		}
-	}
-	removed = append(removed, prev[i:]...)
-	added = append(added, next[j:]...)
-	return added, removed
-}
-
-// DiffTracks is DiffItems for the tracks form.
-func DiffTracks(prev, next []TrackItem) (added, removed []TrackItem) {
-	i, j := 0, 0
-	for i < len(prev) && j < len(next) {
-		switch {
-		case prev[i] == next[j]:
-			i++
-			j++
-		case TrackRankBefore(prev[i], next[j]):
-			removed = append(removed, prev[i])
-			i++
-		case TrackRankBefore(next[j], prev[i]):
-			added = append(added, next[j])
-			j++
-		default:
-			removed = append(removed, prev[i])
-			added = append(added, next[j])
-			i++
-			j++
-		}
-	}
-	removed = append(removed, prev[i:]...)
-	added = append(added, next[j:]...)
-	return added, removed
-}
-
-// ApplyDeltaItems applies one ranked-form delta to a reassembled state and
-// returns the new state. Every removed item must be present, every added
-// item absent, the result must stay rank-ordered, and its length must
-// equal the delta's TotalItems — any violation is a protocol error, never
-// a silently wrong state.
-func ApplyDeltaItems(state []Item, d *Delta) ([]Item, error) {
-	out := make([]Item, 0, len(state)+len(d.Items)-len(d.RemovedItems))
-	i, r := 0, 0
-	for i < len(state) {
-		if r < len(d.RemovedItems) && state[i] == d.RemovedItems[r] {
-			i++
-			r++
-			continue
-		}
-		out = append(out, state[i])
-		i++
-	}
-	if r < len(d.RemovedItems) {
-		return nil, fmt.Errorf("delta removes item %+v not present in the reassembled state", d.RemovedItems[r])
-	}
-	merged := make([]Item, 0, len(out)+len(d.Items))
-	i, a := 0, 0
-	for i < len(out) && a < len(d.Items) {
-		switch {
-		case out[i] == d.Items[a]:
-			return nil, fmt.Errorf("delta adds item %+v already present in the reassembled state", d.Items[a])
-		case ItemRankBefore(out[i], d.Items[a]):
-			merged = append(merged, out[i])
-			i++
-		case ItemRankBefore(d.Items[a], out[i]):
-			merged = append(merged, d.Items[a])
-			a++
-		default:
-			return nil, fmt.Errorf("delta adds item %+v colliding with %+v at the same rank", d.Items[a], out[i])
-		}
-	}
-	merged = append(merged, out[i:]...)
-	merged = append(merged, d.Items[a:]...)
-	if len(merged) != d.TotalItems {
-		return nil, fmt.Errorf("reassembled state has %d items, delta declares %d", len(merged), d.TotalItems)
-	}
-	return merged, nil
-}
-
-// ApplyDeltaTracks is ApplyDeltaItems for the tracks form.
-func ApplyDeltaTracks(state []TrackItem, d *Delta) ([]TrackItem, error) {
-	out := make([]TrackItem, 0, len(state)+len(d.Tracks)-len(d.RemovedTracks))
-	i, r := 0, 0
-	for i < len(state) {
-		if r < len(d.RemovedTracks) && state[i] == d.RemovedTracks[r] {
-			i++
-			r++
-			continue
-		}
-		out = append(out, state[i])
-		i++
-	}
-	if r < len(d.RemovedTracks) {
-		return nil, fmt.Errorf("delta removes track %+v not present in the reassembled state", d.RemovedTracks[r])
-	}
-	merged := make([]TrackItem, 0, len(out)+len(d.Tracks))
-	i, a := 0, 0
-	for i < len(out) && a < len(d.Tracks) {
-		switch {
-		case out[i] == d.Tracks[a]:
-			return nil, fmt.Errorf("delta adds track %+v already present in the reassembled state", d.Tracks[a])
-		case TrackRankBefore(out[i], d.Tracks[a]):
-			merged = append(merged, out[i])
-			i++
-		case TrackRankBefore(d.Tracks[a], out[i]):
-			merged = append(merged, d.Tracks[a])
-			a++
-		default:
-			return nil, fmt.Errorf("delta adds track %+v colliding with %+v at the same rank", d.Tracks[a], out[i])
-		}
-	}
-	merged = append(merged, out[i:]...)
-	merged = append(merged, d.Tracks[a:]...)
-	if len(merged) != d.TotalItems {
-		return nil, fmt.Errorf("reassembled state has %d tracks, delta declares %d", len(merged), d.TotalItems)
-	}
-	return merged, nil
-}
-
 // VectorsEqual reports whether two watermark vectors pin the same horizon:
 // same streams, same watermarks.
 func VectorsEqual(a, b WatermarkVector) bool {

@@ -3,7 +3,7 @@ package api
 import (
 	"io"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -170,8 +170,8 @@ func TestSSEReader(t *testing.T) {
 }
 
 // TestRankComparatorsMatchEngine pins the wire-layer comparators to the
-// engine's: ItemRankBefore must agree with plan.RankBefore and
-// TrackRankBefore with track.RankBefore on every ordered pair, ties
+// engine's: Item.RankBefore must agree with plan.RankBefore and
+// TrackItem.RankBefore with track.RankBefore on every ordered pair, ties
 // included, or routed merges and delta diffs would drift from the
 // rankings servers actually emit.
 func TestRankComparatorsMatchEngine(t *testing.T) {
@@ -206,49 +206,29 @@ func TestRankComparatorsMatchEngine(t *testing.T) {
 		for _, b := range tracks {
 			ta := track.Item{Stream: a.Stream, StartSec: a.StartSec, Track: a.Track, Score: a.Score}
 			tb := track.Item{Stream: b.Stream, StartSec: b.StartSec, Track: b.Track, Score: b.Score}
-			if TrackRankBefore(a, b) != track.RankBefore(ta, tb) {
-				t.Fatalf("TrackRankBefore(%+v, %+v) disagrees with track.RankBefore", a, b)
+			if a.RankBefore(b) != track.RankBefore(ta, tb) {
+				t.Fatalf("TrackItem.RankBefore(%+v, %+v) disagrees with track.RankBefore", a, b)
 			}
 		}
 	}
 }
 
-func sortItems(items []Item) []Item {
-	out := append([]Item(nil), items...)
-	sort.Slice(out, func(i, j int) bool { return ItemRankBefore(out[i], out[j]) })
-	return out
+func sorted[T Ranked[T]](items ...T) []T {
+	slices.SortFunc(items, RankCompare[T])
+	return items
 }
 
-func sortTracks(items []TrackItem) []TrackItem {
-	out := append([]TrackItem(nil), items...)
-	sort.Slice(out, func(i, j int) bool { return TrackRankBefore(out[i], out[j]) })
-	return out
-}
-
-// TestDiffApplyItems pins the delta algebra on the ranked form: applying
-// diff(prev, next) to prev reconstructs next exactly, additions and
-// retractions included, and diffs compose across intermediate states.
-func TestDiffApplyItems(t *testing.T) {
-	it := func(stream string, frame int64, score float64) Item {
-		return Item{Stream: stream, Frame: frame, TimeSec: float64(frame) / 30, Segment: frame / 30, Score: score}
-	}
-	s0 := []Item{}
-	s1 := sortItems([]Item{it("a", 30, 2), it("b", 60, 1.5)})
-	// s2 retracts b/60, rescores a/30 (same frame, new score: a
-	// remove+add pair), and appends two new frames.
-	s2 := sortItems([]Item{it("a", 30, 2.5), it("a", 90, 1.2), it("b", 120, 0.7)})
-	s3 := sortItems([]Item{it("a", 30, 2.5), it("a", 90, 1.2)})
-
-	states := [][]Item{s0, s1, s2, s3}
-	state := append([]Item(nil), s0...)
+// checkDiffApply pins the delta algebra for one item type over a walk of
+// answer states: applying diff(prev, next) to prev reconstructs next
+// exactly, additions and retractions included, and diffs compose — one
+// diff from the first state to the last reconstructs it in a single step.
+func checkDiffApply[T Ranked[T]](t *testing.T, states ...[]T) {
+	t.Helper()
+	state := append([]T(nil), states[0]...)
 	for i := 1; i < len(states); i++ {
-		added, removed := DiffItems(states[i-1], states[i])
-		d := &Delta{
-			From: WatermarkVector{"a": float64(i - 1)}, To: WatermarkVector{"a": float64(i)},
-			Items: added, RemovedItems: removed, TotalItems: len(states[i]),
-		}
+		added, removed := Diff(states[i-1], states[i])
 		var err error
-		state, err = ApplyDeltaItems(state, d)
+		state, err = ApplyDelta(state, added, removed, len(states[i]))
 		if err != nil {
 			t.Fatalf("applying delta %d: %v", i, err)
 		}
@@ -256,8 +236,28 @@ func TestDiffApplyItems(t *testing.T) {
 			t.Fatalf("state after delta %d: %v, want %v", i, state, states[i])
 		}
 	}
-	// Composition: one diff from genesis to the last state reconstructs it
-	// in a single step too.
+	last := states[len(states)-1]
+	added, removed := Diff(states[0], last)
+	state, err := ApplyDelta(states[0], added, removed, len(last))
+	if err != nil || !reflect.DeepEqual(state, last) {
+		t.Fatalf("one-step reassembly: %v (%v), want %v", state, err, last)
+	}
+}
+
+// TestDiffApplyItems runs the delta algebra on the ranked form, through
+// the generic core and through the typed entry points.
+func TestDiffApplyItems(t *testing.T) {
+	it := func(stream string, frame int64, score float64) Item {
+		return Item{Stream: stream, Frame: frame, TimeSec: float64(frame) / 30, Segment: frame / 30, Score: score}
+	}
+	s0 := []Item{}
+	s1 := sorted(it("a", 30, 2), it("b", 60, 1.5))
+	// s2 retracts b/60, rescores a/30 (same frame, new score: a
+	// remove+add pair), and appends two new frames.
+	s2 := sorted(it("a", 30, 2.5), it("a", 90, 1.2), it("b", 120, 0.7))
+	s3 := sorted(it("a", 30, 2.5), it("a", 90, 1.2))
+	checkDiffApply(t, s0, s1, s2, s3)
+
 	added, removed := DiffItems(s0, s3)
 	if len(removed) != 0 {
 		t.Fatalf("diff from empty has removals: %v", removed)
@@ -271,62 +271,52 @@ func TestDiffApplyItems(t *testing.T) {
 	}
 }
 
-// TestDiffApplyTracks covers the tracks form, including the
-// same-rank-key replacement case (a track that grew new sightings while
-// keeping its score, start and ID).
+// TestDiffApplyTracks is the same algebra instantiated for the tracks
+// form, including the same-rank-key replacement case (a track that grew
+// new sightings while keeping its score, start and ID).
 func TestDiffApplyTracks(t *testing.T) {
 	tr := func(stream string, id int64, start, score float64, sightings int) TrackItem {
 		return TrackItem{Stream: stream, Track: id, Object: id, StartFrame: int64(start * 30),
 			EndFrame: int64(start*30) + 50, StartSec: start, EndSec: start + 2, Sightings: sightings, Score: score}
 	}
-	prev := sortTracks([]TrackItem{tr("a", 0, 1, 2, 4), tr("b", 1, 3, 1, 6)})
-	next := sortTracks([]TrackItem{tr("a", 0, 1, 2, 9), tr("a", 2, 6, 0.5, 3)})
-	added, removed := DiffTracks(prev, next)
+	prev := sorted(tr("a", 0, 1, 2, 4), tr("b", 1, 3, 1, 6))
+	next := sorted(tr("a", 0, 1, 2, 9), tr("a", 2, 6, 0.5, 3))
+	added, removed := Diff(prev, next)
 	// a/0 keeps its rank key but changed Sightings: must surface as a
 	// removal plus an addition, never a silent in-place mutation.
 	if len(added) != 2 || len(removed) != 2 {
 		t.Fatalf("diff: added %v removed %v", added, removed)
 	}
-	state, err := ApplyDeltaTracks(prev, &Delta{
-		From: WatermarkVector{"a": 1}, To: WatermarkVector{"a": 2},
-		Tracks: added, RemovedTracks: removed, TotalItems: len(next),
-	})
-	if err != nil {
-		t.Fatal(err)
+	checkDiffApply(t, []TrackItem{}, prev, next)
+}
+
+// checkApplyRejects: a delta that does not fit the reassembled state must
+// error, never corrupt it. held is the one item the state holds, other an
+// item it does not.
+func checkApplyRejects[T Ranked[T]](t *testing.T, held, other T) {
+	t.Helper()
+	state := []T{held}
+	cases := []struct {
+		added, removed []T
+		total          int
+	}{
+		{removed: []T{other}, total: 0},      // removes an item the state does not hold
+		{added: []T{held}, total: 2},         // adds an item already present
+		{added: []T{other}, total: 5},        // declares the wrong total
+		{removed: []T{held, held}, total: 0}, // removes more than the state holds
 	}
-	if !reflect.DeepEqual(state, next) {
-		t.Fatalf("state %v, want %v", state, next)
+	for i, c := range cases {
+		if _, err := ApplyDelta(state, c.added, c.removed, c.total); err == nil {
+			t.Errorf("case %d: ApplyDelta accepted a bad delta", i)
+		}
 	}
 }
 
-// TestApplyDeltaRejectsProtocolViolations: a delta that does not fit the
-// reassembled state must error, never corrupt it.
+// TestApplyDeltaRejectsProtocolViolations instantiates the rejection table
+// for both forms.
 func TestApplyDeltaRejectsProtocolViolations(t *testing.T) {
-	base := sortItems([]Item{{Stream: "a", Frame: 30, Score: 2}})
-	cases := []*Delta{
-		// Removes an item the state does not hold.
-		{RemovedItems: []Item{{Stream: "a", Frame: 60, Score: 1}}, TotalItems: 0},
-		// Adds an item already present.
-		{Items: []Item{{Stream: "a", Frame: 30, Score: 2}}, TotalItems: 2},
-		// Declares the wrong total.
-		{Items: []Item{{Stream: "b", Frame: 30, Score: 1}}, TotalItems: 5},
-	}
-	for i, d := range cases {
-		if _, err := ApplyDeltaItems(base, d); err == nil {
-			t.Errorf("case %d: ApplyDeltaItems accepted a bad delta", i)
-		}
-	}
-	baseT := sortTracks([]TrackItem{{Stream: "a", Track: 1, Score: 2}})
-	casesT := []*Delta{
-		{RemovedTracks: []TrackItem{{Stream: "a", Track: 2, Score: 1}}, TotalItems: 0},
-		{Tracks: []TrackItem{{Stream: "a", Track: 1, Score: 2}}, TotalItems: 2},
-		{Tracks: []TrackItem{{Stream: "b", Track: 1, Score: 1}}, TotalItems: 5},
-	}
-	for i, d := range casesT {
-		if _, err := ApplyDeltaTracks(baseT, d); err == nil {
-			t.Errorf("case %d: ApplyDeltaTracks accepted a bad delta", i)
-		}
-	}
+	checkApplyRejects(t, Item{Stream: "a", Frame: 30, Score: 2}, Item{Stream: "a", Frame: 60, Score: 1})
+	checkApplyRejects(t, TrackItem{Stream: "a", Track: 1, Score: 2}, TrackItem{Stream: "a", Track: 2, Score: 1})
 }
 
 // TestVectorsEqual pins vector equality semantics.

@@ -3,7 +3,6 @@ package api
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -26,35 +25,9 @@ func (v WatermarkVector) Clone() WatermarkVector {
 	return out
 }
 
-// ParseWatermarkVector parses the legacy `at` query-parameter form:
-// comma-separated stream@seconds pairs ("auburn_c@35,jacksonh@40"). The v1
-// surface carries vectors as JSON objects; this textual form survives on
-// the legacy GET /query shim and in CLI flags.
-func ParseWatermarkVector(v string) (WatermarkVector, error) {
-	out := make(WatermarkVector)
-	for _, pair := range strings.Split(v, ",") {
-		pair = strings.TrimSpace(pair)
-		if pair == "" {
-			continue
-		}
-		name, sec, ok := strings.Cut(pair, "@")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("bad at entry %q: want stream@seconds", pair)
-		}
-		f, err := strconv.ParseFloat(sec, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad at entry %q: %v", pair, err)
-		}
-		out[name] = f
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty at parameter")
-	}
-	return out, nil
-}
-
-// FormatWatermarkVector renders a vector in the `at` parameter form,
-// streams sorted by name. Inverse of ParseWatermarkVector.
+// FormatWatermarkVector renders a vector as comma-separated stream@seconds
+// pairs ("auburn_c@35,jacksonh@40"), streams sorted by name — the compact
+// textual form logs and cache keys use.
 func FormatWatermarkVector(vector WatermarkVector) string {
 	names := make([]string, 0, len(vector))
 	for n := range vector {

@@ -8,16 +8,17 @@ import (
 	"focus/api"
 )
 
-// Pager iterates a ranked query page by page through the opaque cursor.
-// The first Next issues the seed request with the page limit; later Next
-// calls follow the cursor the previous response returned, so every page is
+// Pager iterates a ranked or temporal (tracks-form) query page by page
+// through the opaque cursor and reassembles the pages as it goes. The
+// first Next issues the seed request with the page limit; later Next calls
+// follow the cursor the previous response returned, so every page is
 // served from the same execution pinned at the first page's watermark
 // vector — the concatenation of all pages is bit-identical to the one-shot
-// answer at that vector.
+// answer at that vector, which Assembled returns.
 //
 //	pager := c.Pager(&api.QueryRequest{Expr: "car & person", TopK: 50}, 10)
 //	for pager.More() {
-//	    items, err := pager.Next(ctx)
+//	    page, err := pager.Next(ctx) // page.Items, or page.Tracks
 //	    ...
 //	}
 type Pager struct {
@@ -25,9 +26,12 @@ type Pager struct {
 	seed  api.QueryRequest
 	limit int
 	next  string // cursor for the next page ("" before the first)
-	begun bool
 	done  bool
-	last  *api.QueryResponse
+	// first is the first page: its metadata and cost counters describe the
+	// actual execution (later pages are cache reads of it by construction).
+	first  *api.QueryResponse
+	items  []api.Item
+	tracks []api.TrackItem
 }
 
 // Pager starts a paged read of req with pages of at most limit items.
@@ -40,191 +44,75 @@ func (c *Client) Pager(req *api.QueryRequest, limit int) *Pager {
 // More reports whether another Next call may yield items.
 func (p *Pager) More() bool { return !p.done }
 
-// Last returns the most recent page's full response (nil before the first
-// Next), e.g. to read the pinned Watermarks or TotalItems.
-func (p *Pager) Last() *api.QueryResponse { return p.last }
-
-// Next fetches the next page. After the final page (the server returns no
-// continuation cursor), More reports false.
-func (p *Pager) Next(ctx context.Context) ([]api.Item, error) {
+// Next fetches the next page and returns its response (Items or Tracks
+// hold the page, by form). It verifies the cross-page invariants while
+// collecting: every page must answer in the first page's form and echo the
+// same canonical expr, pinned watermark vector, and TotalItems. After the
+// final page (the server returns no continuation cursor), More reports
+// false; any error also ends the read.
+func (p *Pager) Next(ctx context.Context) (*api.QueryResponse, error) {
 	if p.done {
 		return nil, fmt.Errorf("client: Next called after the final page")
 	}
+	p.done = true
 	if p.limit <= 0 {
-		p.done = true
 		return nil, fmt.Errorf("client: page limit must be positive, got %d", p.limit)
 	}
-	req := api.QueryRequest{Limit: p.limit}
-	if !p.begun {
+	req := api.QueryRequest{Limit: p.limit, Cursor: p.next}
+	if p.first == nil {
 		req = p.seed
 		req.Limit, req.Cursor = p.limit, ""
-	} else {
-		req.Cursor = p.next
 	}
 	resp, err := p.c.Query(ctx, &req)
 	if err != nil {
-		p.done = true
 		return nil, err
 	}
-	if resp.Form != api.FormRanked {
-		p.done = true
-		return nil, fmt.Errorf("client: paged read answered in %q form (paging needs the ranked form)", resp.Form)
+	switch first := p.first; {
+	case resp.Form != api.FormRanked && resp.Form != api.FormTracks:
+		return nil, fmt.Errorf("client: paged read answered in %q form (paging needs the ranked or tracks form)", resp.Form)
+	case first == nil:
+		p.first = resp
+	case resp.Form != first.Form:
+		return nil, fmt.Errorf("client: page changed form %q -> %q", first.Form, resp.Form)
+	case resp.Expr != first.Expr:
+		return nil, fmt.Errorf("client: page changed canonical expr %q -> %q", first.Expr, resp.Expr)
+	case !reflect.DeepEqual(resp.Watermarks, first.Watermarks):
+		return nil, fmt.Errorf("client: page changed pinned watermarks %v -> %v", first.Watermarks, resp.Watermarks)
+	case resp.TotalItems != first.TotalItems:
+		return nil, fmt.Errorf("client: page changed total_items %d -> %d", first.TotalItems, resp.TotalItems)
 	}
-	p.begun = true
-	p.last = resp
+	p.items = append(p.items, resp.Items...)
+	p.tracks = append(p.tracks, resp.Tracks...)
 	p.next = resp.Cursor
-	if p.next == "" {
-		p.done = true
-	}
-	return resp.Items, nil
+	p.done = p.next == ""
+	return resp, nil
 }
 
-// TrackPager iterates a temporal (tracks-form) query page by page, the
-// tracks mirror of Pager: the first Next issues the seed request, later
-// Next calls follow the cursor, and every page is served from the same
-// execution pinned at the first page's watermark vector.
-type TrackPager struct {
-	c     *Client
-	seed  api.QueryRequest
-	limit int
-	next  string
-	begun bool
-	done  bool
-	last  *api.QueryResponse
+// Assembled returns the completed read as one response: Items (or Tracks)
+// are the concatenated pages, everything else comes from the first page.
+// The result is directly comparable to — and must be bit-identical with —
+// the one-shot answer at the pinned vector. It fails unless every page
+// arrived and the item count adds up to the server's TotalItems.
+func (p *Pager) Assembled() (*api.QueryResponse, error) {
+	if p.first == nil {
+		return nil, fmt.Errorf("client: paged read yielded no pages")
+	}
+	if n := len(p.items) + len(p.tracks); p.next != "" || n != p.first.TotalItems {
+		return nil, fmt.Errorf("client: pages yielded %d items, server reported %d", n, p.first.TotalItems)
+	}
+	out := *p.first
+	out.Items, out.Tracks, out.Cursor = p.items, p.tracks, ""
+	return &out, nil
 }
 
-// TrackPager starts a paged tracks-form read of req with pages of at most
-// limit tracks. The request's own Limit and Cursor fields are ignored
-// (the pager owns paging); limit must be positive.
-func (c *Client) TrackPager(req *api.QueryRequest, limit int) *TrackPager {
-	return &TrackPager{c: c, seed: *req, limit: limit}
-}
-
-// More reports whether another Next call may yield tracks.
-func (p *TrackPager) More() bool { return !p.done }
-
-// Last returns the most recent page's full response (nil before the first
-// Next), e.g. to read the pinned Watermarks or TotalItems.
-func (p *TrackPager) Last() *api.QueryResponse { return p.last }
-
-// Next fetches the next page of tracks. After the final page (the server
-// returns no continuation cursor), More reports false.
-func (p *TrackPager) Next(ctx context.Context) ([]api.TrackItem, error) {
-	if p.done {
-		return nil, fmt.Errorf("client: Next called after the final page")
-	}
-	if p.limit <= 0 {
-		p.done = true
-		return nil, fmt.Errorf("client: page limit must be positive, got %d", p.limit)
-	}
-	req := api.QueryRequest{Limit: p.limit}
-	if !p.begun {
-		req = p.seed
-		req.Limit, req.Cursor = p.limit, ""
-	} else {
-		req.Cursor = p.next
-	}
-	resp, err := p.c.Query(ctx, &req)
-	if err != nil {
-		p.done = true
-		return nil, err
-	}
-	if resp.Form != api.FormTracks {
-		p.done = true
-		return nil, fmt.Errorf("client: paged track read answered in %q form (track paging needs the tracks form)", resp.Form)
-	}
-	p.begun = true
-	p.last = resp
-	p.next = resp.Cursor
-	if p.next == "" {
-		p.done = true
-	}
-	return resp.Tracks, nil
-}
-
-// CollectPages runs a complete paged read and reassembles it into one
-// response: Items are the concatenated pages, everything else comes from
-// the first page (whose cost counters describe the actual execution —
-// later pages are cache reads of it by construction). It verifies the
-// cross-page invariants while collecting: every page must echo the same
-// canonical expr, pinned watermark vector, and TotalItems, and the item
-// count must add up. The result is directly comparable to (and must be
-// bit-identical with) the one-shot answer at the pinned vector.
+// CollectPages runs a complete paged read of either form and returns the
+// reassembled response (see Pager.Assembled).
 func (c *Client) CollectPages(ctx context.Context, req *api.QueryRequest, limit int) (*api.QueryResponse, error) {
 	pager := c.Pager(req, limit)
-	var out *api.QueryResponse
-	var items []api.Item
 	for pager.More() {
-		page, err := pager.Next(ctx)
-		if err != nil {
+		if _, err := pager.Next(ctx); err != nil {
 			return nil, err
 		}
-		resp := pager.Last()
-		if out == nil {
-			out = resp
-		} else {
-			if resp.Expr != out.Expr {
-				return nil, fmt.Errorf("client: page changed canonical expr %q -> %q", out.Expr, resp.Expr)
-			}
-			if !reflect.DeepEqual(resp.Watermarks, out.Watermarks) {
-				return nil, fmt.Errorf("client: page changed pinned watermarks %v -> %v", out.Watermarks, resp.Watermarks)
-			}
-			if resp.TotalItems != out.TotalItems {
-				return nil, fmt.Errorf("client: page changed total_items %d -> %d", out.TotalItems, resp.TotalItems)
-			}
-		}
-		items = append(items, page...)
 	}
-	if out == nil {
-		return nil, fmt.Errorf("client: paged read yielded no pages")
-	}
-	if len(items) != out.TotalItems {
-		return nil, fmt.Errorf("client: pages yielded %d items, server reported %d", len(items), out.TotalItems)
-	}
-	assembled := *out
-	assembled.Items = items
-	assembled.Cursor = ""
-	return &assembled, nil
-}
-
-// CollectTrackPages is CollectPages for the tracks form: it runs a
-// complete paged track read, verifies the same cross-page invariants
-// (stable canonical expr, pinned watermark vector, and TotalItems; track
-// count adding up), and reassembles one response directly comparable to
-// the one-shot answer at the pinned vector.
-func (c *Client) CollectTrackPages(ctx context.Context, req *api.QueryRequest, limit int) (*api.QueryResponse, error) {
-	pager := c.TrackPager(req, limit)
-	var out *api.QueryResponse
-	var tracks []api.TrackItem
-	for pager.More() {
-		page, err := pager.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		resp := pager.Last()
-		if out == nil {
-			out = resp
-		} else {
-			if resp.Expr != out.Expr {
-				return nil, fmt.Errorf("client: page changed canonical expr %q -> %q", out.Expr, resp.Expr)
-			}
-			if !reflect.DeepEqual(resp.Watermarks, out.Watermarks) {
-				return nil, fmt.Errorf("client: page changed pinned watermarks %v -> %v", out.Watermarks, resp.Watermarks)
-			}
-			if resp.TotalItems != out.TotalItems {
-				return nil, fmt.Errorf("client: page changed total_items %d -> %d", out.TotalItems, resp.TotalItems)
-			}
-		}
-		tracks = append(tracks, page...)
-	}
-	if out == nil {
-		return nil, fmt.Errorf("client: paged read yielded no pages")
-	}
-	if len(tracks) != out.TotalItems {
-		return nil, fmt.Errorf("client: pages yielded %d tracks, server reported %d", len(tracks), out.TotalItems)
-	}
-	assembled := *out
-	assembled.Tracks = tracks
-	assembled.Cursor = ""
-	return &assembled, nil
+	return pager.Assembled()
 }

@@ -156,9 +156,9 @@ func (s *Subscriber) Recv() (*api.Delta, error) {
 			}
 			if s.reassemble {
 				if s.hello.Form == api.FormTracks {
-					s.tracks, err = api.ApplyDeltaTracks(s.tracks, d)
+					s.tracks, err = api.ApplyDelta(s.tracks, d.Tracks, d.RemovedTracks, d.TotalItems)
 				} else {
-					s.items, err = api.ApplyDeltaItems(s.items, d)
+					s.items, err = api.ApplyDelta(s.items, d.Items, d.RemovedItems, d.TotalItems)
 				}
 				if err != nil {
 					return nil, fmt.Errorf("client: delta does not apply: %w", err)

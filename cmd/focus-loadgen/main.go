@@ -3,8 +3,7 @@
 // wire API (through the typed focus/client package): single-class
 // frames-form traffic, optionally mixed with compound ranked plans
 // (-plans/-plan-every), temporal track queries (-tracks/-track-every),
-// cursor-paged reads (-page-every), deprecated legacy-shim requests
-// (-legacy-every, covering the migration surface), and standing queries
+// cursor-paged reads (-page-every), and standing queries
 // (-subscribe-every: POST /v1/subscribe streams whose deltas are
 // reassembled client-side and verified against a direct execution at the
 // delivered watermark vector).
@@ -94,7 +93,6 @@ func main() {
 	singleStreamEvery := flag.Int("single-stream-every", 0, "every Nth plain query targets one stream instead of the whole corpus (0 = never; -boot-cluster defaults to 3 so healthy shards stay exercised during a drain)")
 	planTopK := flag.Int("plan-top-k", 10, "top_k for plan requests")
 	earlyExitEvery := flag.Int("early-exit-every", 0, "every Nth plan request per client runs in early-exit mode (mode=early_exit: stop at -plan-top-k verified items; 0 = plans always exact)")
-	legacyEvery := flag.Int("legacy-every", 0, "every Nth request per client goes through the deprecated /query or /plan shim instead of /v1/query (0 = v1 only)")
 	pageEvery := flag.Int("page-every", 0, "every Nth plan request per client is a cursor-paged read (0 = one-shot only)")
 	pageSize := flag.Int("page-size", 5, "page limit for cursor-paged plan reads")
 	subscribeEvery := flag.Int("subscribe-every", 0, "every Nth request per client opens a POST /v1/subscribe standing query over a -plans or -tracks predicate, collects deltas, and verifies the reassembled answer (0 = never)")
@@ -137,7 +135,6 @@ func main() {
 		EarlyExitEvery:    *earlyExitEvery,
 		TrackEvery:        *trackEvery,
 		SingleStreamEvery: *singleStreamEvery,
-		LegacyEvery:       *legacyEvery,
 		PageEvery:         *pageEvery,
 		PageSize:          *pageSize,
 		SubscribeEvery:    *subscribeEvery,
@@ -383,9 +380,6 @@ func printReport(r *loadgen.Report) {
 	}
 	if r.TrackRequests > 0 {
 		fmt.Printf("track requests    %d (verified: %d)\n", r.TrackRequests, r.TrackVerified)
-	}
-	if r.LegacyRequests > 0 {
-		fmt.Printf("legacy requests   %d\n", r.LegacyRequests)
 	}
 	if r.Subscriptions > 0 || r.SubscriptionShortfall != "" {
 		fmt.Printf("subscriptions     %d (deltas: %d, verified: %d)\n",

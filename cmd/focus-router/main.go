@@ -13,11 +13,10 @@
 //	focus-router -addr :7070 -shards shard-0=http://127.0.0.1:7071,shard-1=http://127.0.0.1:7072
 //	focus-router -map cluster.json -print-assignment auburn_c,jacksonh,city_a_d
 //
-// Endpoints: POST /v1/query (cursor paging over the merged ranking), GET
-// /v1/streams (shard-annotated), GET /v1/stats (router counters +
-// per-shard health), the deprecated GET /query and POST /plan shims
-// (same legacy wire format as focus-serve's shims), and GET /healthz
-// (ok / degraded / unavailable).
+// Endpoints: POST /v1/query (cursor paging over the merged ranking), POST
+// /v1/subscribe (merged standing queries), GET /v1/streams
+// (shard-annotated), GET /v1/stats (router counters + per-shard health),
+// and GET /healthz (ok / degraded / unavailable).
 package main
 
 import (

@@ -29,9 +29,8 @@
 //	                  ({"expr": "car"}); paging via the opaque watermark-stable
 //	                  cursor; structured error codes
 //	GET /v1/streams — per-stream watermarks, ingest progress, chosen configs
-//	GET /v1/stats   — service counters (cache, admission, legacy_requests, GPU meter)
-//	GET /query, POST /plan — deprecated pre-v1 shims (byte-identical legacy
-//	                  wire format, Deprecation header, counted in legacy_requests)
+//	POST /v1/subscribe — standing queries: an SSE stream of answer deltas
+//	GET /v1/stats   — service counters (cache, admission, subscriptions, GPU meter)
 //	GET /healthz    — readiness (503 while tuning or draining, with a status body)
 //	POST /drain     — leave rotation: new queries get "draining" until the process exits
 //

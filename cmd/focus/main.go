@@ -594,20 +594,20 @@ func servedTracks(server, streams, expr string, top, page, kx, maxClusters int) 
 	}
 	fmt.Printf("tracks %s via %s:\n", expr, server)
 	if page > 0 {
-		pager := cli.TrackPager(req, page)
+		pager := cli.Pager(req, page)
 		n := 0
+		var last *api.QueryResponse
 		for pager.More() {
-			items, err := pager.Next(context.Background())
-			if err != nil {
+			var err error
+			if last, err = pager.Next(context.Background()); err != nil {
 				return err
 			}
-			if len(items) > 0 {
+			if items := last.Tracks; len(items) > 0 {
 				fmt.Printf("  -- page (%d results) --\n", len(items))
 				printTracks(items, n)
 				n += len(items)
 			}
 		}
-		last := pager.Last()
 		fmt.Printf("  %d tracks at vector %v; gt-inferences=%d gpu-time=%.0fms latency=%.0fms\n",
 			n, last.Watermarks, last.GTInferences, last.GPUTimeMS, last.LatencyMS)
 		return nil
@@ -676,18 +676,18 @@ func servedPlan(server, streams, expr string, top, page, kx, maxClusters int, mo
 	if page > 0 {
 		pager := cli.Pager(req, page)
 		n := 0
+		var last *api.QueryResponse
 		for pager.More() {
-			items, err := pager.Next(context.Background())
-			if err != nil {
+			var err error
+			if last, err = pager.Next(context.Background()); err != nil {
 				return err
 			}
-			if len(items) > 0 {
+			if items := last.Items; len(items) > 0 {
 				fmt.Printf("  -- page (%d results) --\n", len(items))
 				printItems(items, n)
 				n += len(items)
 			}
 		}
-		last := pager.Last()
 		fmt.Printf("  %d results at vector %v; gt-inferences=%d gpu-time=%.0fms latency=%.0fms\n",
 			n, last.Watermarks, last.GTInferences, last.GPUTimeMS, last.LatencyMS)
 		return nil

@@ -5,8 +5,7 @@
 // with Zipf-skewed class popularity (mirroring the skewed query interest
 // the paper's streams exhibit, §2.2) — single-class (frames-form) traffic
 // optionally mixed with compound ranked plans, temporal track queries,
-// cursor-paged reads, and deprecated legacy-shim requests (exercising the
-// migration surface).
+// cursor-paged reads and standing queries.
 // It records throughput, a latency histogram, and per-status counts.
 // Optional verifiers re-execute sampled responses directly against the
 // owning focus.System at the exact watermark vector the service answered
@@ -20,14 +19,11 @@
 package loadgen
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -108,16 +104,14 @@ type Config struct {
 	// EarlyExitEvery makes every Nth plan request per client run in
 	// early-exit mode (mode=early_exit on the /v1 request): the service
 	// stops at PlanTopK verified items instead of ranking exhaustively.
-	// Legacy-shim plan requests always stay exact — the deprecated wire
-	// format predates execution modes. Early-exit responses flow through
+	// Early-exit responses flow through
 	// PlanVerifier like any other ranked response; against a router, use
 	// NewSubsetPlanVerifier (shard-local samplers make the merged answer
 	// differ from any single-node replay). 0 = plans are always exact.
 	EarlyExitEvery int
 	// Tracks is a pool of temporal predicate expressions ("car & dur(5)",
 	// "person & seq(region(...), region(...))") issued as tracks-form
-	// /v1/query requests. Temporal queries have no legacy shim — they are
-	// always issued through /v1.
+	// /v1/query requests.
 	Tracks []string
 	// TrackEvery makes every Nth request per client a track query drawn
 	// deterministically from Tracks (0 = tracks never issued). When a
@@ -128,14 +122,8 @@ type Config struct {
 	// TrackVerifier checks one served tracks-form response; non-nil errors
 	// are recorded as mismatches. See NewDirectTrackVerifier.
 	TrackVerifier func(*api.QueryResponse) error
-	// LegacyEvery routes every Nth request per client through the
-	// deprecated legacy shims (GET /query or POST /plan) instead of
-	// /v1/query, exercising the migration surface; responses are decoded
-	// from the legacy wire format and verified through the same
-	// verifiers. 0 = v1 only.
-	LegacyEvery int
-	// PageEvery makes every Nth plan request per client a cursor-paged
-	// read (pages of PageSize items assembled through the opaque cursor,
+	// PageEvery makes every Nth plan (and every Nth track) request per
+	// client a cursor-paged read (pages of PageSize items assembled through the opaque cursor,
 	// then verified as one response — pinning paged == one-shot ==
 	// direct). 0 = plans are always one-shot.
 	PageEvery int
@@ -257,10 +245,8 @@ type Report struct {
 	// EarlyExitRequests counts the plan requests issued in early-exit mode
 	// (a subset of PlanRequests).
 	EarlyExitRequests int `json:"early_exit_requests"`
-	// LegacyRequests counts requests issued through the deprecated shims;
 	// PagedRequests counts cursor-paged plan and track reads.
-	LegacyRequests int `json:"legacy_requests"`
-	PagedRequests  int `json:"paged_requests"`
+	PagedRequests int `json:"paged_requests"`
 	// Subscriptions counts standing queries opened and cleanly closed;
 	// DeltaEvents counts the deltas they received (every subscription
 	// receives at least its opening catch-up); SubscriptionsVerified
@@ -318,19 +304,13 @@ type clientState struct {
 	unexpected  map[int]int
 	netErrors   int
 	cacheHits   int
-	// plainOK/planOK drive the verification cadences independently, so
-	// mixing plan traffic in never changes which plain responses the
-	// "verify every Nth OK" sampling picks.
+	// plainOK and the per-form ok counts drive the verification cadences
+	// independently, so mixing plan traffic in never changes which plain
+	// responses the "verify every Nth OK" sampling picks.
 	plainOK       int
 	verified      int
-	planRequests  int
-	planOK        int
-	planVerified  int
-	trackRequests int
-	trackOK       int
-	trackVerified int
+	plan, track   formStats
 	earlyExitReqs int
-	legacyReqs    int
 	pagedReqs     int
 	subs          int
 	deltaEvents   int
@@ -338,6 +318,11 @@ type clientState struct {
 	mismatches    []string
 	errSamples    []string
 }
+
+// formStats counts one rank-ordered form's share of a client's traffic:
+// requests issued, 2xx responses, and responses replayed through the
+// form's verifier.
+type formStats struct{ requests, ok, verified int }
 
 // Run executes the load generation and blocks until every client finishes.
 func Run(cfg Config) (*Report, error) {
@@ -364,7 +349,7 @@ func Run(cfg Config) (*Report, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			runClient(&cfg, i, zipf, cli, httpc, deadline, states[i])
+			runClient(&cfg, i, zipf, cli, deadline, states[i])
 		}(i)
 	}
 	wg.Wait()
@@ -382,12 +367,11 @@ func Run(cfg Config) (*Report, error) {
 		rep.NetErrors += st.netErrors
 		rep.CacheHits += st.cacheHits
 		rep.Verified += st.verified
-		rep.PlanRequests += st.planRequests
-		rep.PlanVerified += st.planVerified
-		rep.TrackRequests += st.trackRequests
-		rep.TrackVerified += st.trackVerified
+		rep.PlanRequests += st.plan.requests
+		rep.PlanVerified += st.plan.verified
+		rep.TrackRequests += st.track.requests
+		rep.TrackVerified += st.track.verified
 		rep.EarlyExitRequests += st.earlyExitReqs
-		rep.LegacyRequests += st.legacyReqs
 		rep.PagedRequests += st.pagedReqs
 		rep.Subscriptions += st.subs
 		rep.DeltaEvents += st.deltaEvents
@@ -429,8 +413,7 @@ func Run(cfg Config) (*Report, error) {
 
 // runClient is one closed loop: draw a class (or, every PlanEvery-th
 // request, a compound plan), query, record, repeat.
-func runClient(cfg *Config, idx int, zipf *simrand.Zipf, cli *client.Client, httpc *http.Client,
-	deadline time.Time, st *clientState) {
+func runClient(cfg *Config, idx int, zipf *simrand.Zipf, cli *client.Client, deadline time.Time, st *clientState) {
 	src := simrand.New(cfg.Seed).DeriveN(int64(idx), "loadgen-client")
 	for time.Now().Before(deadline) {
 		if cfg.MaxRequestsPerClient > 0 && st.requests >= cfg.MaxRequestsPerClient {
@@ -441,13 +424,12 @@ func runClient(cfg *Config, idx int, zipf *simrand.Zipf, cli *client.Client, htt
 			runSubscription(cfg, idx, src, cli, st)
 			continue
 		}
-		legacy := cfg.LegacyEvery > 0 && st.requests%cfg.LegacyEvery == 0
 		if cfg.PlanEvery > 0 && st.requests%cfg.PlanEvery == 0 {
-			runPlanRequest(cfg, idx, src, cli, httpc, st, legacy)
+			runRankedRequest(cfg, idx, src, cli, st, "plan", cfg.Plans, &st.plan, cfg.PlanVerifier, cfg.EarlyExitEvery)
 			continue
 		}
 		if cfg.TrackEvery > 0 && st.requests%cfg.TrackEvery == 0 {
-			runTrackRequest(cfg, idx, src, cli, st)
+			runRankedRequest(cfg, idx, src, cli, st, "track", cfg.Tracks, &st.track, cfg.TrackVerifier, 0)
 			continue
 		}
 		req := &api.QueryRequest{Expr: cfg.Classes[zipf.Sample(src)]}
@@ -457,19 +439,11 @@ func runClient(cfg *Config, idx int, zipf *simrand.Zipf, cli *client.Client, htt
 		// Only whole-corpus requests opt into allow_partial: a single-stream
 		// query has nothing to degrade to — losing its one stream should
 		// stay a loud typed failure, not an empty "success".
-		if cfg.AllowPartialEvery > 0 && len(req.Streams) == 0 &&
-			st.requests%cfg.AllowPartialEvery == 0 && !legacy {
+		if cfg.AllowPartialEvery > 0 && len(req.Streams) == 0 && st.requests%cfg.AllowPartialEvery == 0 {
 			req.AllowPartial = true
 		}
-		var qr *api.QueryResponse
-		var err error
 		t0 := time.Now()
-		if legacy {
-			st.legacyReqs++
-			qr, err = legacyQuery(httpc, cfg.BaseURL, req)
-		} else {
-			qr, err = cli.Query(context.Background(), req)
-		}
+		qr, err := cli.Query(context.Background(), req)
 		// Latency includes the body transfer and decode: what a real client
 		// waits for. Measuring at header arrival would let a regression that
 		// bloats response bodies slip past the p99 gate.
@@ -496,92 +470,47 @@ func runClient(cfg *Config, idx int, zipf *simrand.Zipf, cli *client.Client, htt
 	}
 }
 
-// runPlanRequest issues one ranked plan drawn deterministically from the
-// plan pool — one-shot, cursor-paged, or through the legacy shim — and
-// records it under the same status taxonomy as plain queries.
-func runPlanRequest(cfg *Config, idx int, src *simrand.Source, cli *client.Client, httpc *http.Client,
-	st *clientState, legacy bool) {
-	expr := cfg.Plans[src.Intn(len(cfg.Plans))]
+// runRankedRequest issues one rank-ordered request — kind "plan" (a
+// compound ranked plan) or "track" (a temporal track query) — drawn
+// deterministically from pool, one-shot or cursor-paged, and records it
+// under the same status taxonomy as plain queries. fs is the form's
+// counter set and verify its served-vs-direct verifier; every
+// earlyExitEvery-th request of the form runs in early-exit mode (0 =
+// never; temporal queries have no such mode).
+func runRankedRequest(cfg *Config, idx int, src *simrand.Source, cli *client.Client, st *clientState,
+	kind string, pool []string, fs *formStats, verify func(*api.QueryResponse) error, earlyExitEvery int) {
+	expr := pool[src.Intn(len(pool))]
 	req := &api.QueryRequest{Expr: expr, TopK: cfg.PlanTopK}
-	st.planRequests++
-	if !legacy && cfg.EarlyExitEvery > 0 && st.planRequests%cfg.EarlyExitEvery == 0 {
+	fs.requests++
+	if earlyExitEvery > 0 && fs.requests%earlyExitEvery == 0 {
 		req.Mode = api.ModeEarlyExit
 		st.earlyExitReqs++
 	}
-	paged := !legacy && cfg.PageEvery > 0 && st.planRequests%cfg.PageEvery == 0
-	var pr *api.QueryResponse
+	var resp *api.QueryResponse
 	var err error
-	if paged {
+	if cfg.PageEvery > 0 && fs.requests%cfg.PageEvery == 0 {
 		st.pagedReqs++
-		pr, err = runPagedPlan(cfg, cli, st, req)
-		if !st.record(cfg, err) {
-			return
-		}
+		resp, err = runPaged(cfg, cli, st, req)
 	} else {
 		t0 := time.Now()
-		if legacy {
-			st.legacyReqs++
-			pr, err = legacyPlan(httpc, cfg.BaseURL, req)
-		} else {
-			pr, err = cli.Query(context.Background(), req)
+		resp, err = cli.Query(context.Background(), req)
+		if err == nil {
+			st.latenciesMS = append(st.latenciesMS, float64(time.Since(t0).Nanoseconds())/1e6)
 		}
-		latMS := float64(time.Since(t0).Nanoseconds()) / 1e6
-		if !st.record(cfg, err) {
-			return
-		}
-		st.latenciesMS = append(st.latenciesMS, latMS)
+	}
+	if !st.record(cfg, err) {
+		return
 	}
 	st.ok++
-	st.planOK++
-	if pr.Cached {
+	fs.ok++
+	if resp.Cached {
 		st.cacheHits++
 	}
-	if cfg.PlanVerifier != nil && cfg.VerifyEvery > 0 && st.planOK%cfg.VerifyEvery == 0 {
-		st.planVerified++
-		if err := cfg.PlanVerifier(pr); err != nil {
+	if verify != nil && cfg.VerifyEvery > 0 && fs.ok%cfg.VerifyEvery == 0 {
+		fs.verified++
+		if err := verify(resp); err != nil {
 			st.mismatches = append(st.mismatches,
-				fmt.Sprintf("client %d plan %q: %v", idx, expr, err))
-		}
-	}
-}
-
-// runTrackRequest issues one temporal track query drawn deterministically
-// from the track pool — one-shot or cursor-paged — and records it under
-// the same status taxonomy as plain queries. Tracks are v1-only: the
-// temporal surface postdates the deprecated shims, so there is no legacy
-// variant to exercise.
-func runTrackRequest(cfg *Config, idx int, src *simrand.Source, cli *client.Client, st *clientState) {
-	expr := cfg.Tracks[src.Intn(len(cfg.Tracks))]
-	req := &api.QueryRequest{Expr: expr, TopK: cfg.PlanTopK}
-	st.trackRequests++
-	paged := cfg.PageEvery > 0 && st.trackRequests%cfg.PageEvery == 0
-	var tr *api.QueryResponse
-	var err error
-	if paged {
-		st.pagedReqs++
-		tr, err = runPagedTracks(cfg, cli, st, req)
-		if !st.record(cfg, err) {
-			return
-		}
-	} else {
-		t0 := time.Now()
-		tr, err = cli.Query(context.Background(), req)
-		latMS := float64(time.Since(t0).Nanoseconds()) / 1e6
-		if !st.record(cfg, err) {
-			return
-		}
-		st.latenciesMS = append(st.latenciesMS, latMS)
-	}
-	st.ok++
-	st.trackOK++
-	if tr.Cached {
-		st.cacheHits++
-	}
-	if cfg.TrackVerifier != nil && cfg.VerifyEvery > 0 && st.trackOK%cfg.VerifyEvery == 0 {
-		st.trackVerified++
-		if err := cfg.TrackVerifier(tr); err != nil {
-			st.mismatches = append(st.mismatches,
-				fmt.Sprintf("client %d track %q: %v", idx, expr, err))
+				fmt.Sprintf("client %d %s %q: %v", idx, kind, expr, err))
 		}
 	}
 }
@@ -651,82 +580,24 @@ func runSubscription(cfg *Config, idx int, src *simrand.Source, cli *client.Clie
 	}
 }
 
-// runPagedTracks drives one cursor-paged track read page by page, exactly
-// as runPagedPlan does for ranked reads: each page fetch is its own
-// latency sample, and the pages reassemble into one response the track
-// verifier can replay against a direct execution at the pinned vector.
-func runPagedTracks(cfg *Config, cli *client.Client, st *clientState, req *api.QueryRequest) (*api.QueryResponse, error) {
-	pager := cli.TrackPager(req, cfg.PageSize)
-	var out *api.QueryResponse
-	var tracks []api.TrackItem
-	for pager.More() {
-		t0 := time.Now()
-		page, err := pager.Next(context.Background())
-		latMS := float64(time.Since(t0).Nanoseconds()) / 1e6
-		if err != nil {
-			return nil, err
-		}
-		st.latenciesMS = append(st.latenciesMS, latMS)
-		resp := pager.Last()
-		if out == nil {
-			out = resp
-		} else if resp.Expr != out.Expr || resp.TotalItems != out.TotalItems ||
-			!reflect.DeepEqual(resp.Watermarks, out.Watermarks) {
-			return nil, fmt.Errorf("paged track read drifted between pages (expr, total, or pinned watermarks changed)")
-		}
-		tracks = append(tracks, page...)
-	}
-	if out == nil {
-		return nil, fmt.Errorf("paged track read yielded no pages")
-	}
-	if len(tracks) != out.TotalItems {
-		return nil, fmt.Errorf("pages yielded %d tracks, server reported %d", len(tracks), out.TotalItems)
-	}
-	assembled := *out
-	assembled.Tracks = tracks
-	assembled.Cursor = ""
-	return &assembled, nil
-}
-
-// runPagedPlan drives one cursor-paged ranked read page by page. Each
-// page fetch is one HTTP request and is recorded as its own latency
-// sample — folding a whole page chain into one observation would distort
-// the p99 histogram the CI budget gates on. The pages are reassembled
-// into one response (first page's metadata and cost, concatenated items)
-// so the ordinary plan verifier can replay it against a direct execution
-// at the pinned vector — which is exactly the paged == one-shot ==
-// direct invariant, end to end.
-func runPagedPlan(cfg *Config, cli *client.Client, st *clientState, req *api.QueryRequest) (*api.QueryResponse, error) {
+// runPaged drives one cursor-paged read, ranked or tracks, page by page
+// through client.Pager. Each page fetch is one HTTP request and is
+// recorded as its own latency sample — folding a whole page chain into one
+// observation would distort the p99 histogram the CI budget gates on. The
+// pager reassembles the pages into one response (first page's metadata and
+// cost, concatenated items) so the form's ordinary verifier can replay it
+// against a direct execution at the pinned vector — which is exactly the
+// paged == one-shot == direct invariant, end to end.
+func runPaged(cfg *Config, cli *client.Client, st *clientState, req *api.QueryRequest) (*api.QueryResponse, error) {
 	pager := cli.Pager(req, cfg.PageSize)
-	var out *api.QueryResponse
-	var items []api.Item
 	for pager.More() {
 		t0 := time.Now()
-		page, err := pager.Next(context.Background())
-		latMS := float64(time.Since(t0).Nanoseconds()) / 1e6
-		if err != nil {
+		if _, err := pager.Next(context.Background()); err != nil {
 			return nil, err
 		}
-		st.latenciesMS = append(st.latenciesMS, latMS)
-		resp := pager.Last()
-		if out == nil {
-			out = resp
-		} else if resp.Expr != out.Expr || resp.TotalItems != out.TotalItems ||
-			!reflect.DeepEqual(resp.Watermarks, out.Watermarks) {
-			return nil, fmt.Errorf("paged read drifted between pages (expr, total, or pinned watermarks changed)")
-		}
-		items = append(items, page...)
+		st.latenciesMS = append(st.latenciesMS, float64(time.Since(t0).Nanoseconds())/1e6)
 	}
-	if out == nil {
-		return nil, fmt.Errorf("paged read yielded no pages")
-	}
-	if len(items) != out.TotalItems {
-		return nil, fmt.Errorf("pages yielded %d items, server reported %d", len(items), out.TotalItems)
-	}
-	assembled := *out
-	assembled.Items = items
-	assembled.Cursor = ""
-	return &assembled, nil
+	return pager.Assembled()
 }
 
 // record classifies one exchange's error outcome (nil err = proceed with
@@ -777,136 +648,4 @@ func percentile(sorted []float64, p float64) float64 {
 		rank = len(sorted) - 1
 	}
 	return sorted[rank]
-}
-
-// ---- legacy-shim traffic ----
-//
-// The generator decodes the deprecated wire formats with local mirror
-// structs rather than importing the server, the way a not-yet-migrated
-// external client would, then converts them to the v1 shape so one
-// verifier covers both surfaces.
-
-// legacyQueryResponse mirrors the legacy GET /query payload.
-type legacyQueryResponse struct {
-	Class       string                       `json:"class"`
-	Streams     map[string]*api.StreamResult `json:"streams"`
-	TotalFrames int                          `json:"total_frames"`
-	Kx          int                          `json:"kx"`
-	Start       float64                      `json:"start"`
-	End         float64                      `json:"end"`
-	MaxClusters int                          `json:"max_clusters"`
-	LatencyMS   float64                      `json:"latency_ms"`
-	GPUTimeMS   float64                      `json:"gpu_time_ms"`
-	Cached      bool                         `json:"cached"`
-}
-
-// legacyPlanResponse mirrors the legacy POST /plan payload.
-type legacyPlanResponse struct {
-	Expr         string             `json:"expr"`
-	Items        []api.Item         `json:"items"`
-	TotalItems   int                `json:"total_items"`
-	Watermarks   map[string]float64 `json:"watermarks"`
-	TopK         int                `json:"top_k"`
-	Kx           int                `json:"kx"`
-	Start        float64            `json:"start"`
-	End          float64            `json:"end"`
-	MaxClusters  int                `json:"max_clusters"`
-	GTInferences int                `json:"gt_inferences"`
-	GPUTimeMS    float64            `json:"gpu_time_ms"`
-	LatencyMS    float64            `json:"latency_ms"`
-	Cached       bool               `json:"cached"`
-}
-
-// legacyError adapts a legacy non-2xx response (string error body, status
-// code, draining marker header) into the structured *api.Error the record
-// path classifies.
-func legacyError(resp *http.Response, body []byte) *api.Error {
-	var e struct {
-		Error string `json:"error"`
-	}
-	_ = json.Unmarshal(body, &e)
-	if resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("X-Focus-Draining") != "" {
-		err := api.Errorf(api.CodeDraining, "%s", e.Error)
-		err.Shard = resp.Header.Get("X-Focus-Draining")
-		return err
-	}
-	return api.DecodeError(resp.StatusCode, body)
-}
-
-func legacyQuery(httpc *http.Client, baseURL string, req *api.QueryRequest) (*api.QueryResponse, error) {
-	url := baseURL + "/query?class=" + req.Expr
-	if len(req.Streams) > 0 {
-		url += "&streams=" + req.Streams[0]
-	}
-	resp, err := httpc.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		return nil, err
-	}
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		return nil, legacyError(resp, buf.Bytes())
-	}
-	var lr legacyQueryResponse
-	if err := json.Unmarshal(buf.Bytes(), &lr); err != nil {
-		return nil, fmt.Errorf("bad legacy /query body: %w", err)
-	}
-	out := &api.QueryResponse{
-		Expr:        lr.Class,
-		Form:        api.FormFrames,
-		Watermarks:  make(api.WatermarkVector, len(lr.Streams)),
-		Streams:     lr.Streams,
-		TotalFrames: lr.TotalFrames,
-		Kx:          lr.Kx,
-		Start:       lr.Start,
-		End:         lr.End,
-		MaxClusters: lr.MaxClusters,
-		GPUTimeMS:   lr.GPUTimeMS,
-		LatencyMS:   lr.LatencyMS,
-		Cached:      lr.Cached,
-	}
-	for name, sr := range lr.Streams {
-		out.Watermarks[name] = sr.Watermark
-		out.GTInferences += sr.GTInferences
-	}
-	return out, nil
-}
-
-func legacyPlan(httpc *http.Client, baseURL string, req *api.QueryRequest) (*api.QueryResponse, error) {
-	body, _ := json.Marshal(map[string]any{"expr": req.Expr, "top_k": req.TopK})
-	resp, err := httpc.Post(baseURL+"/plan", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		return nil, err
-	}
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		return nil, legacyError(resp, buf.Bytes())
-	}
-	var lr legacyPlanResponse
-	if err := json.Unmarshal(buf.Bytes(), &lr); err != nil {
-		return nil, fmt.Errorf("bad legacy /plan body: %w", err)
-	}
-	return &api.QueryResponse{
-		Expr:         lr.Expr,
-		Form:         api.FormRanked,
-		Watermarks:   lr.Watermarks,
-		Items:        lr.Items,
-		TotalItems:   lr.TotalItems,
-		TopK:         lr.TopK,
-		Kx:           lr.Kx,
-		Start:        lr.Start,
-		End:          lr.End,
-		MaxClusters:  lr.MaxClusters,
-		GTInferences: lr.GTInferences,
-		GPUTimeMS:    lr.GPUTimeMS,
-		LatencyMS:    lr.LatencyMS,
-		Cached:       lr.Cached,
-	}, nil
 }

@@ -60,11 +60,9 @@ func TestClientSequencesDeterministic(t *testing.T) {
 }
 
 // TestRunAgainstStubServer exercises the full client loop, status taxonomy
-// and verifier plumbing against a scripted v1 handler (with the legacy
-// shim stubbed too, so the LegacyEvery mix is covered).
+// and verifier plumbing against a scripted v1 handler.
 func TestRunAgainstStubServer(t *testing.T) {
 	var n atomic.Int64
-	var legacyHits atomic.Int64
 	framesBody := func(expr string, cached bool) *api.QueryResponse {
 		return &api.QueryResponse{
 			Expr:       expr,
@@ -89,17 +87,6 @@ func TestRunAgainstStubServer(t *testing.T) {
 		}
 		_ = json.NewEncoder(w).Encode(framesBody(req.Expr, i%2 == 0))
 	})
-	mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
-		legacyHits.Add(1)
-		n.Add(1)
-		_ = json.NewEncoder(w).Encode(map[string]any{
-			"class": r.URL.Query().Get("class"),
-			"streams": map[string]*api.StreamResult{
-				"s": {Watermark: 10, Frames: []int64{1, 2}, Segments: []int64{0}},
-			},
-			"total_frames": 2,
-		})
-	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
@@ -111,7 +98,6 @@ func TestRunAgainstStubServer(t *testing.T) {
 		MaxRequestsPerClient: 25,
 		Classes:              []string{"car", "person"},
 		VerifyEvery:          1,
-		LegacyEvery:          10,
 		Verifier: func(qr *api.QueryResponse) error {
 			verified.Add(1)
 			if qr.Form != api.FormFrames {
@@ -134,9 +120,6 @@ func TestRunAgainstStubServer(t *testing.T) {
 	}
 	if rep.Rejected == 0 || rep.CacheHits == 0 {
 		t.Errorf("taxonomy not exercised: %+v", rep)
-	}
-	if rep.LegacyRequests == 0 || int64(rep.LegacyRequests) != legacyHits.Load() {
-		t.Errorf("legacy mix not exercised: report %d, server saw %d", rep.LegacyRequests, legacyHits.Load())
 	}
 	if len(rep.Failures()) != 0 {
 		t.Errorf("unexpected failures: %v", rep.Failures())

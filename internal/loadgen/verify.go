@@ -181,13 +181,8 @@ func NewSubsetPlanVerifier(sys *focus.System) func(*api.QueryResponse) error {
 			if it != d {
 				return fmt.Errorf("item %d: served %+v, exact %+v", i, it, d)
 			}
-			if i > 0 {
-				prev := pr.Items[i-1]
-				if it.Score > prev.Score ||
-					(it.Score == prev.Score && it.Stream < prev.Stream) ||
-					(it.Score == prev.Score && it.Stream == prev.Stream && it.Frame < prev.Frame) {
-					return fmt.Errorf("item %d: served out of rank order after item %d", i, i-1)
-				}
+			if i > 0 && it.RankBefore(pr.Items[i-1]) {
+				return fmt.Errorf("item %d: served out of rank order after item %d", i, i-1)
 			}
 		}
 		return nil
@@ -202,7 +197,7 @@ func NewSubsetPlanVerifier(sys *focus.System) func(*api.QueryResponse) error {
 // objects, frame and time bounds, sighting counts and scores in the same
 // order. The served Expr is the temporal plan's canonical form, which
 // re-parses to the same plan. Responses must be unpaged (or reassembled
-// from all pages, e.g. by client.CollectTrackPages).
+// from all pages, e.g. by client.CollectPages).
 //
 // Cost counters (GTInferences, GPU time, latency) are not compared, for
 // the same reason as the other verifiers: the shared GT-verdict cache

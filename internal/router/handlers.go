@@ -14,16 +14,12 @@ import (
 
 	"focus/api"
 	"focus/internal/plan"
-	"focus/internal/serve"
 )
 
 // The router speaks the v1 wire contract on both sides: clients POST
 // /v1/query to the router, the router scatters per-shard v1 sub-requests
 // to the owning shards, and gathered failures are classified by their
-// structured error code — never by message strings or marker headers. The
-// legacy endpoints (GET /query, POST /plan) remain as deprecated shims
-// that translate into the same v1 routing core, exactly like a single
-// focus-serve's shims.
+// structured error code — never by message strings or marker headers.
 
 // writeV1Error mirrors the error onto the router's counters and writes
 // the structured envelope.
@@ -41,17 +37,6 @@ func (r *Router) countError(e *api.Error) {
 	default:
 		r.unavailable.Add(1)
 	}
-}
-
-// writeLegacyError translates a structured error back into the legacy
-// wire format: bare message string, and the draining marker header naming
-// the draining shard (pre-v1 load tooling sniffs it).
-func (r *Router) writeLegacyError(w http.ResponseWriter, e *api.Error) {
-	r.countError(e)
-	if e.Code == api.CodeDraining && e.Shard != "" {
-		w.Header().Set(serve.DrainingHeader, e.Shard)
-	}
-	writeJSON(w, e.HTTPStatus(), serve.ErrorResponse{Error: e.Message})
 }
 
 // shardGroup is one shard's slice of a request: the streams it owns, in
@@ -289,121 +274,49 @@ func gatherError(replies []shardReply) *api.Error {
 }
 
 // routedExec is a resolved routed execution, the router-side analogue of
-// the serve layer's v1Exec: predicate still textual (shards compile it),
-// paging normalized, cursor expanded.
+// the serve layer's v1Exec: the shared request identity (predicate still
+// textual — shards compile it — and Mode and form forced onto every
+// scatter sub-request so shards can never mix them within one answer) plus
+// the one router-only ask.
 type routedExec struct {
-	expr                  string
-	streams               []string
-	pins                  api.WatermarkVector
-	topK, kx, maxClusters int
-	start, end            float64
-	limit, offset         int
-	// mode is the execution mode in canonical form ("" = exact,
-	// api.ModeEarlyExit = early exit), forced onto every scatter
-	// sub-request so shards can never mix modes within one answer.
-	mode   string
-	ranked bool
-	// tracked selects the tracks (temporal) form; set exactly when the
-	// expression contains a temporal operator. Mutually exclusive with
-	// ranked.
-	tracked bool
+	api.Exec
 	// allowPartial opts into a degraded answer when some owning shards
 	// are unroutable or fail: the healthy subset is merged and the
-	// response carries a PartialInfo marker. Never implicit.
+	// response carries a PartialInfo marker. Never implicit. A cursor
+	// minted from a partial answer already froze the healthy stream
+	// subset; re-opting in only matters if further shards fail
+	// mid-pagination.
 	allowPartial bool
 }
 
-// resolveRouted normalizes a wire QueryRequest. The ranked/frames form
-// decision is syntactic (plan.Parse, no class space needed) and must
-// mirror the serve layer's rule; the router then forces the decided form
-// on every shard so a scatter can never mix forms.
-func resolveRouted(req *api.QueryRequest) (*routedExec, *api.Error) {
-	if req.Limit < 0 {
-		return nil, api.Errorf(api.CodeBadRequest, "negative query parameter")
-	}
-	if req.Cursor != "" {
-		cur, aerr := api.CursorForRequest(req)
-		if aerr != nil {
-			return nil, aerr
-		}
-		return &routedExec{
-			expr:        cur.Expr,
-			streams:     cur.Streams,
-			pins:        cur.At,
-			topK:        cur.TopK,
-			kx:          cur.Kx,
-			start:       cur.Start,
-			end:         cur.End,
-			maxClusters: cur.MaxClusters,
-			limit:       req.Limit,
-			offset:      cur.Offset,
-			mode:        cur.Mode,
-			// The token's Form field tells a tracks continuation apart
-			// from a ranked one (empty = ranked, for tokens minted before
-			// the tracks form existed).
-			ranked:  cur.Form != api.FormTracks,
-			tracked: cur.Form == api.FormTracks,
-			// A cursor minted from a partial answer already froze the
-			// healthy stream subset; re-opting in only matters if further
-			// shards fail mid-pagination.
-			allowPartial: req.AllowPartial,
-		}, nil
-	}
-	if req.Expr == "" {
-		return nil, api.Errorf(api.CodeBadRequest, "missing required field: expr")
-	}
-	if req.TopK < 0 || req.Kx < 0 || req.MaxClusters < 0 || req.Start < 0 || req.End < 0 {
-		return nil, api.Errorf(api.CodeBadRequest, "negative query parameter")
-	}
-	ast, err := plan.Parse(req.Expr)
+// exprShape parses a predicate for the shared form rule: the decision is
+// syntactic, so the router needs no class space (shards compile).
+func exprShape(expr string) (api.ExprShape, error) {
+	ast, err := plan.Parse(expr)
 	if err != nil {
-		return nil, api.Errorf(api.CodeBadExpr, "%v", err)
+		return api.ExprShape{}, err
 	}
-	mode, aerr := api.NormalizeMode(req.Mode, req.TopK)
+	return api.ExprShape{Temporal: plan.HasTemporal(ast), SingleLeaf: plan.IsSingleLeafExpr(ast)}, nil
+}
+
+// resolveRouted normalizes a wire QueryRequest through the same rule the
+// shards apply; the router then forces the decided form on every shard so
+// a scatter can never mix forms.
+func resolveRouted(req *api.QueryRequest) (*routedExec, *api.Error) {
+	ex, aerr := api.ResolveRequest(req, exprShape)
 	if aerr != nil {
 		return nil, aerr
 	}
-	ex := &routedExec{
-		expr:         req.Expr,
-		streams:      api.NormalizeStreams(req.Streams),
-		pins:         req.At,
-		topK:         req.TopK,
-		kx:           req.Kx,
-		start:        req.Start,
-		end:          req.End,
-		maxClusters:  req.MaxClusters,
-		limit:        req.Limit,
-		mode:         mode,
-		allowPartial: req.AllowPartial,
-	}
-	if plan.HasTemporal(ast) {
-		if mode != "" {
-			return nil, api.Errorf(api.CodeBadRequest,
-				"mode %q applies to ranked executions only, not temporal (tracks-form) expressions", mode)
-		}
-		if req.Form != "" && req.Form != api.FormTracks {
-			return nil, api.Errorf(api.CodeBadRequest,
-				"temporal expressions answer in the %q form; form must be omitted or %q", api.FormTracks, api.FormTracks)
-		}
-		ex.tracked = true
-		return ex, nil
-	}
-	if req.Form != "" && req.Form != api.FormRanked {
-		return nil, api.Errorf(api.CodeBadRequest,
-			"form must be omitted or %q (%q is for temporal expressions)", api.FormRanked, api.FormTracks)
-	}
-	ex.ranked = !plan.IsSingleLeafExpr(ast) || req.TopK != 0 || req.Limit != 0 || req.Form == api.FormRanked
-	return ex, nil
+	return &routedExec{Exec: *ex, allowPartial: req.AllowPartial}, nil
 }
 
-// routeV1 is the routing core shared by the v1 handler and both legacy
-// shims: group the target streams by owning shard, scatter one unpaged v1
-// sub-request per shard (each pinned to its slice of the vector, forced
-// to the decided form), gather, merge deterministically, then page the
-// merged ranking router-side and mint the continuation cursor over the
-// merged watermark vector.
+// routeV1 is the routing core: group the target streams by owning shard,
+// scatter one unpaged v1 sub-request per shard (each pinned to its slice
+// of the vector, forced to the decided form), gather, merge
+// deterministically, then page the merged ranking router-side and mint the
+// continuation cursor over the merged watermark vector.
 func (r *Router) routeV1(ex *routedExec) (*api.QueryResponse, int, *api.Error) {
-	groups, missing, aerr := r.groupByShard(ex.streams, ex.allowPartial)
+	groups, missing, aerr := r.groupByShard(ex.Streams, ex.allowPartial)
 	if aerr != nil {
 		return nil, 0, aerr
 	}
@@ -412,45 +325,44 @@ func (r *Router) routeV1(ex *routedExec) (*api.QueryResponse, int, *api.Error) {
 	// stream is in the target set), and allow_partial answers without it —
 	// naming it in the partial marker — rather than flipping the request
 	// into bad_request whenever a shard is out.
-	if aerr := validatePins(ex.pins, append(append([]shardGroup(nil), groups...), missing...)); aerr != nil {
+	if aerr := validatePins(ex.At, append(append([]shardGroup(nil), groups...), missing...)); aerr != nil {
 		return nil, 0, aerr
 	}
-	switch {
-	case ex.tracked:
+	form := ex.ResponseForm()
+	switch form {
+	case api.FormTracks:
 		r.trackQueries.Add(1)
-	case ex.ranked:
+	case api.FormRanked:
 		r.planQueries.Add(1)
-		if ex.mode == api.ModeEarlyExit {
+		if ex.Mode == api.ModeEarlyExit {
 			r.earlyExitQueries.Add(1)
 		}
 	default:
 		r.queries.Add(1)
 	}
-
-	form := ""
-	switch {
-	case ex.tracked:
-		form = api.FormTracks
-	case ex.ranked:
-		// Shards must not fall into the frames form for one-leaf exprs the
-		// router decided to rank (TopK/Limit/Cursor live router-side).
-		form = api.FormRanked
+	// The decided form is forced on every shard — a shard must not fall
+	// into the frames form for a one-leaf expr the router decided to rank
+	// (TopK/Limit/Cursor live router-side) — except the frames form itself,
+	// which cannot be forced: it is what a bare one-leaf request gets.
+	subForm := form
+	if ex.Frames {
+		subForm = ""
 	}
 	replies := r.scatter(groups, func(g shardGroup) (*http.Response, error) {
 		sub := api.QueryRequest{
-			Expr:        ex.expr,
+			Expr:        ex.Expr,
 			Streams:     g.streams,
-			TopK:        ex.topK, // a shard's top K is a superset of its share of the merged top K
-			Kx:          ex.kx,
-			Start:       ex.start,
-			End:         ex.end,
-			MaxClusters: ex.maxClusters,
-			At:          subVector(ex.pins, g.streams),
-			Form:        form,
+			TopK:        ex.TopK, // a shard's top K is a superset of its share of the merged top K
+			Kx:          ex.Kx,
+			Start:       ex.Start,
+			End:         ex.End,
+			MaxClusters: ex.MaxClusters,
+			At:          subVector(ex.At, g.streams),
+			Form:        subForm,
 			// The decided mode is forced on every shard: a scatter that
 			// mixed exact and early-exit sub-answers would merge two
 			// different pure functions into one response.
-			Mode: ex.mode,
+			Mode: ex.Mode,
 		}
 		body, err := json.Marshal(&sub)
 		if err != nil {
@@ -493,16 +405,7 @@ func (r *Router) routeV1(ex *routedExec) (*api.QueryResponse, int, *api.Error) {
 			return nil, 0, e
 		}
 	}
-	var merged *api.QueryResponse
-	var err error
-	switch {
-	case ex.tracked:
-		merged, err = mergeTracks(ex.topK, parts)
-	case ex.ranked:
-		merged, err = mergeRanked(ex.topK, parts)
-	default:
-		merged, err = mergeFrames(parts)
-	}
+	merged, err := mergeParts(form, ex.TopK, parts)
 	if err != nil {
 		r.upstreamErrs.Add(1)
 		return nil, 0, api.Errorf(api.CodeUnavailable, "%v", err)
@@ -523,36 +426,16 @@ func (r *Router) routeV1(ex *routedExec) (*api.QueryResponse, int, *api.Error) {
 		merged.Partial = pi
 		r.partials.Add(1)
 	}
-	if ex.ranked || ex.tracked {
-		merged.Mode = ex.mode
-		var names []string
-		for _, g := range groups {
-			names = append(names, g.streams...)
-		}
-		sort.Strings(names)
-		cursor := api.Cursor{
-			Expr:        merged.Expr,
-			Streams:     names,
-			TopK:        ex.topK,
-			Kx:          ex.kx,
-			Start:       ex.start,
-			End:         ex.end,
-			MaxClusters: ex.maxClusters,
-			At:          merged.Watermarks,
-			Mode:        ex.mode,
-		}
-		pageLen := 0
-		if ex.tracked {
-			cursor.Form = api.FormTracks
-			merged.Tracks = api.PageTracks(merged.Tracks, ex.limit, ex.offset)
-			pageLen = len(merged.Tracks)
-		} else {
-			merged.Items = api.PageItems(merged.Items, ex.limit, ex.offset)
-			pageLen = len(merged.Items)
-		}
-		merged.Cursor = api.ContinuationToken(cursor, ex.limit, ex.offset, pageLen, merged.TotalItems)
+	// Page the merged ranking router-side; the continuation freezes the
+	// canonical expr the shards echoed, the streams that answered, and the
+	// merged vector.
+	id := ex.Cursor
+	id.Expr, id.At, id.Streams = merged.Expr, merged.Watermarks, nil
+	for _, g := range groups {
+		id.Streams = append(id.Streams, g.streams...)
 	}
-	return merged, len(groups), nil
+	sort.Strings(id.Streams)
+	return api.PageOf(merged, id, ex.Limit), len(groups), nil
 }
 
 // handleV1Query is the router's POST /v1/query.
@@ -587,114 +470,12 @@ func (r *Router) handleV1Query(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusOK, merged)
 }
 
-// handleLegacyQuery is the router's deprecated GET /query shim.
-func (r *Router) handleLegacyQuery(w http.ResponseWriter, req *http.Request) {
-	r.legacyReqs.Add(1)
-	w.Header().Set(api.DeprecationHeader, "true")
-	if !r.ready.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, serve.ErrorResponse{Error: "router not ready"})
-		return
-	}
-	args, err := serve.ParseLegacyQueryArgs(req)
-	if err != nil {
-		r.clientErrs.Add(1)
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error()})
-		return
-	}
-	merged, fanout, aerr := r.routeV1(&routedExec{
-		expr:        args.Class,
-		streams:     args.Streams,
-		pins:        args.At,
-		kx:          args.Kx,
-		start:       args.Start,
-		end:         args.End,
-		maxClusters: args.MaxClusters,
-	})
-	if aerr != nil {
-		r.writeLegacyError(w, legacyUnwrapLeafError(aerr))
-		return
-	}
-	setCacheHeader(w, merged.Cached)
-	w.Header().Set(fanoutHeader, strconv.Itoa(fanout))
-	writeJSON(w, http.StatusOK, serve.LegacyQueryPayload(args.Class, merged))
-}
-
-// legacyUnwrapLeafError strips the plan-compile framing ("plan: leaf
-// "x": …") off a one-leaf bad_expr error so the legacy /query shim
-// reports unknown classes with the library's own text ("focus: unknown
-// class …"), exactly as the pre-v1 router did.
-func legacyUnwrapLeafError(e *api.Error) *api.Error {
-	const prefix = "plan: leaf "
-	if e.Code != api.CodeBadExpr || !strings.HasPrefix(e.Message, prefix) {
-		return e
-	}
-	rest := e.Message[len(prefix):]
-	if _, inner, ok := strings.Cut(rest, ": "); ok {
-		out := *e
-		out.Message = inner
-		return &out
-	}
-	return e
-}
-
-// handleLegacyPlan is the router's deprecated POST /plan shim.
-func (r *Router) handleLegacyPlan(w http.ResponseWriter, req *http.Request) {
-	r.legacyReqs.Add(1)
-	w.Header().Set(api.DeprecationHeader, "true")
-	if !r.ready.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, serve.ErrorResponse{Error: "router not ready"})
-		return
-	}
-	if req.Method != http.MethodPost {
-		r.clientErrs.Add(1)
-		writeJSON(w, http.StatusMethodNotAllowed, serve.ErrorResponse{Error: "POST a JSON body to /plan"})
-		return
-	}
-	var preq serve.PlanRequest
-	if err := json.NewDecoder(req.Body).Decode(&preq); err != nil {
-		r.clientErrs.Add(1)
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "bad /plan body: " + err.Error()})
-		return
-	}
-	if preq.Expr == "" {
-		r.clientErrs.Add(1)
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "missing required field: expr"})
-		return
-	}
-	if preq.TopK < 0 || preq.Kx < 0 || preq.MaxClusters < 0 || preq.Limit < 0 || preq.Offset < 0 ||
-		preq.Start < 0 || preq.End < 0 {
-		r.clientErrs.Add(1)
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "negative plan parameter"})
-		return
-	}
-	merged, fanout, aerr := r.routeV1(&routedExec{
-		expr:        preq.Expr,
-		streams:     api.NormalizeStreams(preq.Streams),
-		pins:        preq.AtWatermarks,
-		topK:        preq.TopK,
-		kx:          preq.Kx,
-		start:       preq.Start,
-		end:         preq.End,
-		maxClusters: preq.MaxClusters,
-		limit:       preq.Limit,
-		offset:      preq.Offset,
-		ranked:      true,
-	})
-	if aerr != nil {
-		r.writeLegacyError(w, aerr)
-		return
-	}
-	setCacheHeader(w, merged.Cached)
-	w.Header().Set(fanoutHeader, strconv.Itoa(fanout))
-	writeJSON(w, http.StatusOK, serve.LegacyPlanPayload(merged))
-}
-
 // handleStreams scatters GET /v1/streams to every responsive shard and
 // merges the statuses — shard-annotated, sorted by stream name. Unlike the
 // query path — where a partial answer would be a wrong answer — this is an
 // operator surface: down shards are skipped and named in the
 // X-Focus-Partial header so the rest of the cluster stays observable
-// during an outage. Served at both /v1/streams and the legacy /streams.
+// during an outage.
 func (r *Router) handleStreams(w http.ResponseWriter, req *http.Request) {
 	r.mu.RLock()
 	var groups []shardGroup
@@ -741,7 +522,7 @@ func (r *Router) handleStreams(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// ShardStatus is one shard's entry in the router's /stats payload.
+// ShardStatus is one shard's entry in the router's /v1/stats payload.
 type ShardStatus struct {
 	Name  string `json:"name"`
 	URL   string `json:"url"`
@@ -758,7 +539,7 @@ type ShardStatus struct {
 	PlacementOK bool `json:"placement_ok"`
 }
 
-// Stats is the router's /stats payload.
+// Stats is the router's /v1/stats payload.
 type Stats struct {
 	UptimeSec   float64 `json:"uptime_sec"`
 	Ready       bool    `json:"ready"`
@@ -769,10 +550,7 @@ type Stats struct {
 	// EarlyExitQueries counts ranked queries routed in early-exit mode, a
 	// subset of PlanQueries.
 	EarlyExitQueries int64 `json:"early_exit_queries"`
-	// LegacyRequests counts requests arriving through the deprecated
-	// /query and /plan shims.
-	LegacyRequests int64 `json:"legacy_requests"`
-	ShardRequests  int64 `json:"shard_requests"`
+	ShardRequests    int64 `json:"shard_requests"`
 	// ShardRetries counts retried shard sub-requests; PartialResponses
 	// counts answers returned degraded under allow_partial.
 	ShardRetries     int64 `json:"shard_retries"`
@@ -801,7 +579,7 @@ type Stats struct {
 }
 
 // Snapshot returns the router's counters and shard view (also served at
-// /stats).
+// /v1/stats).
 func (r *Router) Snapshot() Stats {
 	var uptime float64
 	if ns := r.startedNS.Load(); ns > 0 {
@@ -814,7 +592,6 @@ func (r *Router) Snapshot() Stats {
 		PlanQueries:      r.planQueries.Load(),
 		TrackQueries:     r.trackQueries.Load(),
 		EarlyExitQueries: r.earlyExitQueries.Load(),
-		LegacyRequests:   r.legacyReqs.Load(),
 		ShardRequests:    r.shardReqs.Load(),
 		ShardRetries:     r.shardRetried.Load(),
 		PartialResponses: r.partials.Load(),

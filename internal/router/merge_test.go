@@ -5,9 +5,6 @@ import (
 	"testing"
 
 	"focus/api"
-	"focus/internal/plan"
-	"focus/internal/simrand"
-	"focus/internal/video"
 )
 
 func TestMergeFramesAggregates(t *testing.T) {
@@ -20,7 +17,7 @@ func TestMergeFramesAggregates(t *testing.T) {
 			"a": {Frames: []int64{1, 2, 3}, GPUTimeMS: 0.5, LatencyMS: 7},
 		}, Watermarks: api.WatermarkVector{"a": 30}, Cached: false},
 	}
-	out, err := mergeFrames(parts)
+	out, err := mergeParts(api.FormFrames, 0, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,43 +45,20 @@ func TestMergeFramesRejectsDuplicateStream(t *testing.T) {
 		{Form: api.FormFrames, Streams: map[string]*api.StreamResult{"a": {}}},
 		{Form: api.FormFrames, Streams: map[string]*api.StreamResult{"a": {}}},
 	}
-	if _, err := mergeFrames(parts); err == nil {
+	if _, err := mergeParts(api.FormFrames, 0, parts); err == nil {
 		t.Fatal("expected an error for a stream answered by two shards")
 	}
 }
 
 func TestMergeRejectsMixedForms(t *testing.T) {
-	if _, err := mergeFrames([]*api.QueryResponse{{Form: api.FormRanked}}); err == nil {
-		t.Fatal("mergeFrames accepted a ranked part")
+	if _, err := mergeParts(api.FormFrames, 0, []*api.QueryResponse{{Form: api.FormRanked}}); err == nil {
+		t.Fatal("frames merge accepted a ranked part")
 	}
-	if _, err := mergeRanked(0, []*api.QueryResponse{{Form: api.FormFrames}}); err == nil {
-		t.Fatal("mergeRanked accepted a frames part")
+	if _, err := mergeParts(api.FormRanked, 0, []*api.QueryResponse{{Form: api.FormFrames}}); err == nil {
+		t.Fatal("ranked merge accepted a frames part")
 	}
-}
-
-// itemRanksBefore must agree with plan.RankBefore on every pair — the
-// router's merge order IS the single-node emission order.
-func TestItemOrderMatchesPlanRankBefore(t *testing.T) {
-	src := simrand.New(7).DeriveN(0, "merge-order")
-	items := make([]api.Item, 200)
-	for i := range items {
-		items[i] = api.Item{
-			Stream: []string{"a", "b", "c"}[src.Intn(3)],
-			Frame:  int64(src.Intn(50)),
-			// Coarse scores force plenty of ties through the stream/frame
-			// tie-breakers.
-			Score: float64(src.Intn(4)),
-		}
-	}
-	for i := range items {
-		for j := range items {
-			a, b := items[i], items[j]
-			pa := plan.Item{Stream: a.Stream, Frame: video.FrameID(a.Frame), Score: a.Score}
-			pb := plan.Item{Stream: b.Stream, Frame: video.FrameID(b.Frame), Score: b.Score}
-			if itemRanksBefore(a, b) != plan.RankBefore(pa, pb) {
-				t.Fatalf("order disagreement for %+v vs %+v", a, b)
-			}
-		}
+	if _, err := mergeParts(api.FormTracks, 0, []*api.QueryResponse{{Form: api.FormRanked}}); err == nil {
+		t.Fatal("tracks merge accepted a ranked part")
 	}
 }
 
@@ -115,7 +89,7 @@ func TestMergeRankedTopKAndOrder(t *testing.T) {
 			Cached: true,
 		},
 	}
-	out, err := mergeRanked(3, parts)
+	out, err := mergeParts(api.FormRanked, 3, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,20 +117,34 @@ func TestMergeRankedTopKAndOrder(t *testing.T) {
 }
 
 func TestMergeRankedFailsLoudly(t *testing.T) {
-	if _, err := mergeRanked(0, []*api.QueryResponse{
+	if _, err := mergeParts(api.FormRanked, 0, []*api.QueryResponse{
 		{Form: api.FormRanked, Expr: "car"}, {Form: api.FormRanked, Expr: "(car&person)"},
 	}); err == nil {
 		t.Fatal("expected an error for disagreeing canonical forms")
 	}
-	if _, err := mergeRanked(0, []*api.QueryResponse{
+	if _, err := mergeParts(api.FormRanked, 0, []*api.QueryResponse{
 		{Form: api.FormRanked, Expr: "car", Items: []api.Item{{Stream: "a"}}, TotalItems: 5},
 	}); err == nil {
 		t.Fatal("expected an error for a paged shard response")
 	}
-	if _, err := mergeRanked(0, []*api.QueryResponse{
+	if _, err := mergeParts(api.FormRanked, 0, []*api.QueryResponse{
 		{Form: api.FormRanked, Expr: "car", Watermarks: api.WatermarkVector{"a": 1}},
 		{Form: api.FormRanked, Expr: "car", Watermarks: api.WatermarkVector{"a": 2}},
 	}); err == nil {
 		t.Fatal("expected an error for overlapping stream ownership")
+	}
+	// Every echoed option is checked for every form: a mixed-version shard
+	// echoing a different top_k or window must not be merged silently (the
+	// continuation cursor is minted from the echo).
+	if _, err := mergeParts(api.FormRanked, 5, []*api.QueryResponse{
+		{Form: api.FormRanked, Expr: "car", TopK: 5}, {Form: api.FormRanked, Expr: "car", TopK: 7},
+	}); err == nil {
+		t.Fatal("expected an error for ranked shards disagreeing on top_k")
+	}
+	if _, err := mergeParts(api.FormTracks, 0, []*api.QueryResponse{
+		{Form: api.FormTracks, Expr: "(car&dur(5,0))", Start: 10, End: 40},
+		{Form: api.FormTracks, Expr: "(car&dur(5,0))", Start: 10, End: 50},
+	}); err == nil {
+		t.Fatal("expected an error for tracks shards disagreeing on the window")
 	}
 }

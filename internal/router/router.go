@@ -2,9 +2,9 @@
 // horizontally: N serve processes ("shards") each own a disjoint subset of
 // the streams, and one focus-router presents them as a single query
 // endpoint with the same wire surface — the v1 contract of focus/api
-// (POST /v1/query, GET /v1/streams, GET /v1/stats, plus the deprecated
-// legacy shims) — and, critically, the same answers. The router speaks v1
-// to the shards too, classifying shard failures by structured error code
+// (POST /v1/query, POST /v1/subscribe, GET /v1/streams, GET /v1/stats) —
+// and, critically, the same answers. The router speaks v1 to the shards
+// too, classifying shard failures by structured error code
 // rather than by message strings or marker headers.
 //
 // Placement is a ShardMap: a static roster of shards plus rendezvous
@@ -179,7 +179,6 @@ type Router struct {
 	// earlyExitQueries counts ranked queries routed in early-exit mode
 	// (a subset of planQueries).
 	earlyExitQueries atomic.Int64
-	legacyReqs       atomic.Int64
 	shardReqs        atomic.Int64
 	shardRetried     atomic.Int64
 	partials         atomic.Int64
@@ -248,17 +247,10 @@ func New(cfg Config) (*Router, error) {
 		r.shards[spec.Name] = &shardState{spec: spec, state: StateDown, placementOK: true}
 	}
 	r.mux = http.NewServeMux()
-	// v1 is the primary surface; the pre-v1 query endpoints are deprecated
-	// shims; /streams, /stats and /healthz stay where ops tooling expects
-	// them.
 	r.mux.HandleFunc(api.PathQuery, r.handleV1Query)
 	r.mux.HandleFunc(api.PathSubscribe, r.handleV1Subscribe)
 	r.mux.HandleFunc(api.PathStreams, r.handleStreams)
 	r.mux.HandleFunc(api.PathStats, r.handleStats)
-	r.mux.HandleFunc(api.PathLegacyQuery, r.handleLegacyQuery)
-	r.mux.HandleFunc(api.PathLegacyPlan, r.handleLegacyPlan)
-	r.mux.HandleFunc("/streams", r.handleStreams)
-	r.mux.HandleFunc("/stats", r.handleStats)
 	r.mux.HandleFunc("/healthz", r.handleHealthz)
 	// Live shard-map transitions (see reshard.go and internal/reshard).
 	// Unauthenticated like the rest of the surface: the port must stay

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -170,40 +172,48 @@ func (c *testCluster) advance(stream string, toSec float64) {
 	c.t.Fatalf("stream %q not on any shard", stream)
 }
 
-// getQuery hits the deprecated GET /query shim, decoding the legacy
-// payload when 2xx.
-func (c *testCluster) getQuery(params string) (*serve.QueryResponse, *http.Response) {
+// getQuery POSTs one single-class /v1/query written as query parameters
+// ("class=car&streams=a,b"), decoding the payload when 2xx; the raw
+// response is returned for status assertions.
+func (c *testCluster) getQuery(params string) (*api.QueryResponse, *http.Response) {
 	c.t.Helper()
-	resp, err := http.Get(c.http.URL + "/query?" + params)
+	q, err := url.ParseQuery(params)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	req := map[string]any{"expr": q.Get("class")}
+	if v := q.Get("streams"); v != "" {
+		req["streams"] = strings.Split(v, ",")
+	}
+	return c.post(req)
+}
+
+// postPlan POSTs one ranked /v1/query from a raw JSON object: a fresh
+// request is forced into the ranked form, a cursor continuation goes out
+// as is.
+func (c *testCluster) postPlan(req map[string]any) (*api.QueryResponse, *http.Response) {
+	c.t.Helper()
+	if _, paged := req["cursor"]; !paged {
+		req["form"] = api.FormRanked
+	}
+	return c.post(req)
+}
+
+func (c *testCluster) post(req map[string]any) (*api.QueryResponse, *http.Response) {
+	c.t.Helper()
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(c.http.URL+api.PathQuery, "application/json", bytes.NewReader(body))
 	if err != nil {
 		c.t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var qr serve.QueryResponse
+	var qr api.QueryResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 			c.t.Fatal(err)
 		}
 	}
 	return &qr, resp
-}
-
-// postPlan hits the deprecated POST /plan shim.
-func (c *testCluster) postPlan(req map[string]any) (*serve.PlanResponse, *http.Response) {
-	c.t.Helper()
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(c.http.URL+"/plan", "application/json", bytes.NewReader(body))
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var pr serve.PlanResponse
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-			c.t.Fatal(err)
-		}
-	}
-	return &pr, resp
 }
 
 // waitShardState polls the router's view until the named shard reaches the
@@ -224,7 +234,7 @@ func (c *testCluster) waitShardState(shard, state string) {
 
 // TestRoutedAnswersMatchDirect is the acceptance pin for the scatter-gather
 // contract: with uneven shard sizes and uneven per-stream watermarks, every
-// routed /query and /plan answer must be bit-identical to a direct
+// routed frames-form and ranked answer must be bit-identical to a direct
 // execution on one focus.System holding all streams, pinned to the merged
 // watermark vector the response reports.
 func TestRoutedAnswersMatchDirect(t *testing.T) {
@@ -284,24 +294,6 @@ func TestRoutedAnswersMatchDirect(t *testing.T) {
 		}
 	}
 
-	// The legacy shims must agree with the v1 surface answer for answer:
-	// the same one-leaf query through GET /query, and the same compound
-	// through POST /plan, both carrying the Deprecation marker.
-	v1car, err := c.queryV1(&api.QueryRequest{Expr: "car", At: api.WatermarkVector{"auburn_c": 20, "jacksonh": 35, "city_a_d": 50}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyCar, resp := c.getQuery("class=car&at=auburn_c@20,jacksonh@35,city_a_d@50")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy /query: status %d", resp.StatusCode)
-	}
-	if resp.Header.Get(api.DeprecationHeader) != "true" {
-		t.Error("legacy /query response missing the Deprecation header")
-	}
-	if legacyCar.TotalFrames != v1car.TotalFrames || !reflect.DeepEqual(legacyCar.Streams, v1car.Streams) {
-		t.Errorf("legacy shim diverges from v1: %d frames vs %d", legacyCar.TotalFrames, v1car.TotalFrames)
-	}
-
 	// Cursor paging through the router: pages at the pinned vector must
 	// concatenate to exactly the one-shot ranking at that vector — and the
 	// assembled read must verify against the reference system.
@@ -324,36 +316,27 @@ func TestRoutedAnswersMatchDirect(t *testing.T) {
 		t.Errorf("assembled cursor read diverges from direct execution: %v", err)
 	}
 
-	// Legacy limit/offset paging (the shim) must slice the same merged
-	// ranking.
+	// Raw limit/cursor paging (no client-side pager) must slice the same
+	// merged ranking.
 	full, resp := c.postPlan(map[string]any{"expr": "car & person", "top_k": 9})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("unpaged plan: status %d", resp.StatusCode)
 	}
-	if resp.Header.Get(api.DeprecationHeader) != "true" {
-		t.Error("legacy /plan response missing the Deprecation header")
-	}
-	var paged []serve.PlanItem
+	var paged []api.Item
+	next := map[string]any{"expr": "car & person", "top_k": 9, "limit": 2, "at": full.Watermarks}
 	for offset := 0; ; offset += 2 {
-		page, resp := c.postPlan(map[string]any{
-			"expr": "car & person", "top_k": 9, "limit": 2, "offset": offset,
-			"at_watermarks": full.Watermarks,
-		})
+		page, resp := c.postPlan(next)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("page at offset %d: status %d", offset, resp.StatusCode)
 		}
-		if len(page.Items) == 0 {
+		paged = append(paged, page.Items...)
+		if page.Cursor == "" {
 			break
 		}
-		paged = append(paged, page.Items...)
+		next = map[string]any{"cursor": page.Cursor, "limit": 2}
 	}
 	if !reflect.DeepEqual(paged, full.Items) {
 		t.Fatalf("paged items diverge from one-shot:\npaged: %+v\nfull:  %+v", paged, full.Items)
-	}
-
-	// Legacy traffic shows up in the migration gauge.
-	if got := c.rt.Snapshot().LegacyRequests; got == 0 {
-		t.Error("router legacy_requests counter never moved")
 	}
 }
 
@@ -477,11 +460,8 @@ func TestRouterPartialFailure(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("query touching a draining shard: status %d, want 503", resp.StatusCode)
 	}
-	if got := resp.Header.Get(serve.DrainingHeader); got != "shard-1" {
-		t.Fatalf("draining 503 should name the shard, got header %q", got)
-	}
-	// The v1 surface reports the same failure as a structured error code
-	// naming the shard — no header sniffing.
+	// The failure is a structured error code naming the shard — no header
+	// sniffing.
 	if _, err := c.queryV1(&api.QueryRequest{Expr: "car"}); !api.IsCode(err, api.CodeDraining) {
 		t.Fatalf("v1 query touching a draining shard: %v, want code draining", err)
 	} else if err.(*api.Error).Shard != "shard-1" {
@@ -549,9 +529,6 @@ func TestRouterPartialFailure(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("query on a down shard: status %d, want 503", resp.StatusCode)
 	}
-	if resp.Header.Get(serve.DrainingHeader) != "" {
-		t.Fatal("down-shard 503 must not carry the draining marker")
-	}
 	if _, err := c.queryV1(&api.QueryRequest{Expr: "car", Streams: []string{"auburn_c"}}); !api.IsCode(err, api.CodeShardDown) {
 		t.Fatalf("v1 query on a down shard: %v, want code shard_down", err)
 	}
@@ -586,5 +563,37 @@ func TestRouterStartRequiresShards(t *testing.T) {
 	if err := rt.Start(); err == nil {
 		rt.Stop()
 		t.Fatal("Start succeeded with an unreachable shard")
+	}
+}
+
+// TestRouterPreV1PathsAreGone: the unversioned query endpoints and ops
+// aliases were removed outright; nothing may answer there.
+func TestRouterPreV1PathsAreGone(t *testing.T) {
+	rt, err := router.New(router.Config{Map: &router.ShardMap{Shards: []router.ShardSpec{
+		{Name: "shard-0", URL: "http://127.0.0.1:1"},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+	for _, r := range []struct{ method, path string }{
+		{http.MethodGet, "/query?class=car"},
+		{http.MethodPost, "/plan"},
+		{http.MethodGet, "/streams"},
+		{http.MethodGet, "/stats"},
+	} {
+		req, err := http.NewRequest(r.method, ts.URL+r.path, strings.NewReader(`{"expr":"car"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", r.method, r.path, resp.StatusCode)
+		}
 	}
 }

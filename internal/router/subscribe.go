@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 
 	"focus/api"
@@ -20,8 +21,8 @@ import (
 // merged answer; the router's job is bookkeeping, not re-ranking: it
 // re-stamps every leg delta onto the merged watermark vector (From = the
 // vector before, To = the vector with the leg's advance folded in) and
-// keeps the running answer-size total. Reassembly via api.ApplyDeltaItems
-// keeps the merged state in ItemRankBefore order because application is a
+// keeps the running answer-size total. Reassembly via api.ApplyDelta keeps
+// the merged state in RankBefore order because application is a
 // rank-ordered merge — that is the "RankBefore lockstep" that makes the
 // union of per-shard rankings bit-identical to a single node's ranking.
 //
@@ -346,10 +347,10 @@ func (r *Router) handleV1Subscribe(w http.ResponseWriter, req *http.Request) {
 // rank-ordered, and streams are disjoint across shards, so sorting under
 // the shared total order is exactly the RankBefore-lockstep merge.
 func sortDeltaEdits(d *api.Delta) {
-	sort.SliceStable(d.Items, func(i, j int) bool { return api.ItemRankBefore(d.Items[i], d.Items[j]) })
-	sort.SliceStable(d.RemovedItems, func(i, j int) bool { return api.ItemRankBefore(d.RemovedItems[i], d.RemovedItems[j]) })
-	sort.SliceStable(d.Tracks, func(i, j int) bool { return api.TrackRankBefore(d.Tracks[i], d.Tracks[j]) })
-	sort.SliceStable(d.RemovedTracks, func(i, j int) bool { return api.TrackRankBefore(d.RemovedTracks[i], d.RemovedTracks[j]) })
+	slices.SortStableFunc(d.Items, api.RankCompare[api.Item])
+	slices.SortStableFunc(d.RemovedItems, api.RankCompare[api.Item])
+	slices.SortStableFunc(d.Tracks, api.RankCompare[api.TrackItem])
+	slices.SortStableFunc(d.RemovedTracks, api.RankCompare[api.TrackItem])
 }
 
 // validateResumeVector mirrors the registry's rule on the router: a resume

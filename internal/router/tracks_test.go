@@ -72,7 +72,7 @@ func TestRoutedTracksMatchDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assembled, err := c.cli.CollectTrackPages(context.Background(),
+	assembled, err := c.cli.CollectPages(context.Background(),
 		&api.QueryRequest{Expr: "car & dur(1)", TopK: 9, At: oneShot.Watermarks}, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -4,14 +4,15 @@ import (
 	"container/list"
 	"hash/fnv"
 	"sync"
+
+	"focus/api"
 )
 
-// resultCache is a sharded LRU over fully rendered responses — single-class
-// query responses keyed by (class, query options, watermark vector) and
-// compound-plan responses keyed by (canonical plan, plan options, watermark
-// vector). Because an execution at a fixed watermark vector is a pure
-// function of its key (see query.Options MaxSealSec), entries never go
-// stale in place: advancing a watermark changes the key of subsequent
+// resultCache is a sharded LRU over fully rendered, unpaged responses of
+// every form, keyed by execKey: (form, canonical predicate, options,
+// watermark vector). Because an execution at a fixed watermark vector is a
+// pure function of its key (see query.Options MaxSealSec), entries never
+// go stale in place: advancing a watermark changes the key of subsequent
 // lookups, and the orphaned entries age out of the LRU. Sharding keeps the
 // hot popular-query path from serializing all clients behind one mutex.
 type resultCache struct {
@@ -27,7 +28,7 @@ type cacheShard struct {
 
 type cacheEntry struct {
 	key  string
-	resp any
+	resp *api.QueryResponse
 }
 
 // newResultCache builds a cache holding about `capacity` responses across
@@ -56,7 +57,7 @@ func (c *resultCache) shard(key string) *cacheShard {
 }
 
 // get returns the cached response for key, refreshing its recency.
-func (c *resultCache) get(key string) (any, bool) {
+func (c *resultCache) get(key string) (*api.QueryResponse, bool) {
 	sh := c.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -70,7 +71,7 @@ func (c *resultCache) get(key string) (any, bool) {
 
 // put inserts (or refreshes) a response, evicting the least recently used
 // entry of the shard when full. Callers must never mutate resp afterwards.
-func (c *resultCache) put(key string, resp any) {
+func (c *resultCache) put(key string, resp *api.QueryResponse) {
 	sh := c.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

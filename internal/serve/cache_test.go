@@ -3,12 +3,14 @@ package serve
 import (
 	"fmt"
 	"testing"
+
+	"focus/api"
 )
 
 func TestResultCacheLRUEviction(t *testing.T) {
 	c := newResultCache(4, 1) // single shard: eviction order is global
 	for i := 0; i < 4; i++ {
-		c.put(fmt.Sprintf("k%d", i), &QueryResponse{TotalFrames: i})
+		c.put(fmt.Sprintf("k%d", i), &api.QueryResponse{TotalFrames: i})
 	}
 	if c.len() != 4 {
 		t.Fatalf("len %d, want 4", c.len())
@@ -17,7 +19,7 @@ func TestResultCacheLRUEviction(t *testing.T) {
 	if _, ok := c.get("k0"); !ok {
 		t.Fatal("k0 missing")
 	}
-	c.put("k4", &QueryResponse{TotalFrames: 4})
+	c.put("k4", &api.QueryResponse{TotalFrames: 4})
 	if _, ok := c.get("k1"); ok {
 		t.Error("k1 should have been evicted as LRU")
 	}
@@ -30,10 +32,10 @@ func TestResultCacheLRUEviction(t *testing.T) {
 
 func TestResultCachePutRefreshesExisting(t *testing.T) {
 	c := newResultCache(8, 2)
-	c.put("k", &QueryResponse{TotalFrames: 1})
-	c.put("k", &QueryResponse{TotalFrames: 2})
+	c.put("k", &api.QueryResponse{TotalFrames: 1})
+	c.put("k", &api.QueryResponse{TotalFrames: 2})
 	got, ok := c.get("k")
-	if !ok || got.(*QueryResponse).TotalFrames != 2 {
+	if !ok || got.TotalFrames != 2 {
 		t.Fatalf("got %+v ok=%v, want TotalFrames=2", got, ok)
 	}
 }
@@ -41,7 +43,7 @@ func TestResultCachePutRefreshesExisting(t *testing.T) {
 func TestResultCacheShardingCoversCapacity(t *testing.T) {
 	c := newResultCache(64, 8)
 	for i := 0; i < 64; i++ {
-		c.put(fmt.Sprintf("key-%d", i), &QueryResponse{TotalFrames: i})
+		c.put(fmt.Sprintf("key-%d", i), &api.QueryResponse{TotalFrames: i})
 	}
 	// Per-shard capacity is capacity/shards; hashing spreads keys unevenly,
 	// so some evictions are expected — but the cache must retain at least

@@ -130,3 +130,39 @@ func TestV1EarlyExitMode(t *testing.T) {
 			stats.EarlyExitQueries, stats.PlanQueries)
 	}
 }
+
+// TestEarlyExitQueriesCountsAdmissionsOnly pins early_exit_queries as "the
+// subset of plan_queries": it is counted where plan_queries is, at
+// admission, so the evaluations of a mode=early_exit standing query —
+// which run the same executor on the ingest clock, not on client arrivals
+// — never move it.
+func TestEarlyExitQueriesCountsAdmissionsOnly(t *testing.T) {
+	s := bootTestService(t, focus.Config{}, serve.Config{NoBackgroundIngest: true}, "auburn_c")
+	sub := openSubscription(t, s, &api.SubscribeRequest{Expr: "car & person", TopK: 3, Mode: api.ModeEarlyExit})
+	sub.next(t) // the opening catch-up
+	const advances = 4
+	for i := 1; i <= advances; i++ {
+		s.advanceAll(t, float64(5*i))
+		s.srv.PumpSubscriptions()
+		if ev := sub.next(t); ev.Type != api.EventDelta {
+			t.Fatalf("advance %d: got %q, want a delta", i, ev.Type)
+		}
+	}
+	if evals := s.srv.Snapshot().SubscribeEvals; evals < advances {
+		t.Fatalf("standing query evaluated %d times over %d advances", evals, advances)
+	}
+
+	const oneShots = 3
+	for i := 0; i < oneShots; i++ {
+		// One fresh execution, then cache hits: each is an admission.
+		if _, err := v1Client(s).Query(context.Background(),
+			&api.QueryRequest{Expr: "car & person", TopK: 5, Mode: api.ModeEarlyExit}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats := s.srv.Snapshot()
+	if stats.EarlyExitQueries != oneShots || stats.EarlyExitQueries > stats.PlanQueries {
+		t.Fatalf("early_exit_queries = %d (plan_queries %d), want exactly the %d one-shots",
+			stats.EarlyExitQueries, stats.PlanQueries, oneShots)
+	}
+}

@@ -90,8 +90,7 @@ func newFaultInjector(cfg FaultConfig, srv *Server, next http.Handler) *faultInj
 // "I am here" — that is the partial-failure shape the router's per-request
 // retry handles. Total silence is the blackhole's job.
 func dataPlanePath(p string) bool {
-	return strings.HasPrefix(p, "/v1/") || p == api.PathLegacyQuery ||
-		p == api.PathLegacyPlan || p == "/streams" || p == "/stats"
+	return strings.HasPrefix(p, "/v1/")
 }
 
 func (f *faultInjector) ServeHTTP(w http.ResponseWriter, r *http.Request) {

@@ -7,24 +7,31 @@ import (
 	"testing"
 
 	"focus"
+	"focus/api"
 	"focus/internal/serve"
 )
 
-func postPlan(t testing.TB, s *testService, req serve.PlanRequest) (*serve.PlanResponse, *http.Response) {
+// postPlan POSTs one ranked /v1/query: a fresh request is forced into the
+// ranked form (a one-leaf plan would otherwise answer in frames), a cursor
+// continuation goes out as is.
+func postPlan(t testing.TB, s *testService, req api.QueryRequest) (*api.QueryResponse, *http.Response) {
 	t.Helper()
+	if req.Cursor == "" {
+		req.Form = api.FormRanked
+	}
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(s.http.URL+"/plan", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(s.http.URL+api.PathQuery, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /plan %+v: status %d", req, resp.StatusCode)
+		t.Fatalf("POST %s %+v: status %d", api.PathQuery, req, resp.StatusCode)
 	}
-	var pr serve.PlanResponse
+	var pr api.QueryResponse
 	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +44,7 @@ func TestPlanServedEqualsDirect(t *testing.T) {
 	s := bootTestService(t, focus.Config{}, serve.Config{NoBackgroundIngest: true}, "auburn_c", "jacksonh")
 	s.advanceAll(t, 40)
 
-	pr, _ := postPlan(t, s, serve.PlanRequest{Expr: "car & person & !bus", TopK: 10})
+	pr, _ := postPlan(t, s, api.QueryRequest{Expr: "car & person & !bus", TopK: 10})
 	if pr.Cached {
 		t.Fatal("first plan response claims cached")
 	}
@@ -64,7 +71,7 @@ func TestPlanServedEqualsDirect(t *testing.T) {
 
 	// Leaf options (window, Kx) shape execution and are echoed back so a
 	// verifier can replay them.
-	windowed, _ := postPlan(t, s, serve.PlanRequest{Expr: "car & !bus", TopK: 5, Start: 10, End: 30, Kx: 2})
+	windowed, _ := postPlan(t, s, api.QueryRequest{Expr: "car & !bus", TopK: 5, Start: 10, End: 30, Kx: 2})
 	if windowed.Start != 10 || windowed.End != 30 || windowed.Kx != 2 {
 		t.Fatalf("leaf options not echoed: %+v", windowed)
 	}
@@ -96,14 +103,14 @@ func TestPlanCacheHit(t *testing.T) {
 	s := bootTestService(t, focus.Config{}, serve.Config{NoBackgroundIngest: true}, "auburn_c")
 	s.advanceAll(t, 30)
 
-	first, resp := postPlan(t, s, serve.PlanRequest{Expr: "car & !bus"})
+	first, resp := postPlan(t, s, api.QueryRequest{Expr: "car & !bus"})
 	if h := resp.Header.Get("X-Focus-Cache"); h != "miss" {
 		t.Fatalf("first response cache header %q", h)
 	}
 	gpuBefore := s.sys.GPUMeter()
 	// Whitespace and request-text differences must still hit: the cache
 	// keys on the canonical form.
-	second, resp := postPlan(t, s, serve.PlanRequest{Expr: "  car   &  !bus "})
+	second, resp := postPlan(t, s, api.QueryRequest{Expr: "  car   &  !bus "})
 	if h := resp.Header.Get("X-Focus-Cache"); h != "hit" {
 		t.Fatalf("second response cache header %q", h)
 	}
@@ -123,7 +130,7 @@ func TestPlanCacheHit(t *testing.T) {
 	}
 
 	s.advanceAll(t, 45)
-	third, resp := postPlan(t, s, serve.PlanRequest{Expr: "car & !bus"})
+	third, resp := postPlan(t, s, api.QueryRequest{Expr: "car & !bus"})
 	if h := resp.Header.Get("X-Focus-Cache"); h != "miss" {
 		t.Fatalf("post-advance response cache header %q: watermark advance must change the key", h)
 	}
@@ -132,13 +139,13 @@ func TestPlanCacheHit(t *testing.T) {
 	}
 }
 
-// TestPlanPaging: limit/offset slice the cached execution — pages
+// TestPlanPaging: limit and the cursor slice the cached execution — pages
 // concatenate to the full ranking and share one execution.
 func TestPlanPaging(t *testing.T) {
 	s := bootTestService(t, focus.Config{}, serve.Config{NoBackgroundIngest: true}, "auburn_c")
 	s.advanceAll(t, 30)
 
-	full, _ := postPlan(t, s, serve.PlanRequest{Expr: "car & person", TopK: 9})
+	full, _ := postPlan(t, s, api.QueryRequest{Expr: "car & person", TopK: 9})
 	if full.TotalItems != len(full.Items) {
 		t.Fatalf("total %d != %d items", full.TotalItems, len(full.Items))
 	}
@@ -146,13 +153,17 @@ func TestPlanPaging(t *testing.T) {
 		t.Fatal("plan matched nothing; pick a denser window")
 	}
 	gpuBefore := s.sys.GPUMeter()
-	var paged []serve.PlanItem
-	for off := 0; off < full.TotalItems; off += 4 {
-		page, _ := postPlan(t, s, serve.PlanRequest{Expr: "car & person", TopK: 9, Limit: 4, Offset: off})
+	var paged []api.Item
+	page, _ := postPlan(t, s, api.QueryRequest{Expr: "car & person", TopK: 9, Limit: 4})
+	for off := 0; ; off += 4 {
 		if page.TotalItems != full.TotalItems {
 			t.Fatalf("page at offset %d reports %d total, want %d", off, page.TotalItems, full.TotalItems)
 		}
 		paged = append(paged, page.Items...)
+		if page.Cursor == "" {
+			break
+		}
+		page, _ = postPlan(t, s, api.QueryRequest{Cursor: page.Cursor, Limit: 4})
 	}
 	if got := s.sys.GPUMeter(); got.QueryMS != gpuBefore.QueryMS {
 		t.Errorf("HTTP paging consumed %.1f GPU ms; pages must share the cached execution", got.QueryMS-gpuBefore.QueryMS)
@@ -166,22 +177,24 @@ func TestPlanPaging(t *testing.T) {
 		}
 	}
 	// Past-the-end offset is an empty page, not an error.
-	empty, _ := postPlan(t, s, serve.PlanRequest{Expr: "car & person", TopK: 9, Offset: full.TotalItems + 5})
-	if len(empty.Items) != 0 {
-		t.Fatalf("past-the-end page returned %d items", len(empty.Items))
+	cur := api.Cursor{Expr: full.Expr, Streams: []string{"auburn_c"}, TopK: 9,
+		At: full.Watermarks, Offset: full.TotalItems + 5}
+	empty, _ := postPlan(t, s, api.QueryRequest{Cursor: cur.Encode()})
+	if len(empty.Items) != 0 || empty.Cursor != "" {
+		t.Fatalf("past-the-end page returned %d items, cursor %q", len(empty.Items), empty.Cursor)
 	}
 }
 
-// TestPlanPagingPinnedAcrossIngest: passing the echoed watermark vector
-// back via at_watermarks keeps offset pages coherent while background
-// ingest advances between page requests — every page reads the same
-// pinned execution instead of re-snapshotting a moving horizon.
+// TestPlanPagingPinnedAcrossIngest: the cursor freezes the first page's
+// watermark vector, keeping pages coherent while background ingest
+// advances between page requests — every page reads the same pinned
+// execution instead of re-snapshotting a moving horizon.
 func TestPlanPagingPinnedAcrossIngest(t *testing.T) {
 	s := bootTestService(t, focus.Config{}, serve.Config{NoBackgroundIngest: true}, "auburn_c")
 	s.advanceAll(t, 30)
 
 	const expr = "car & person"
-	page1, _ := postPlan(t, s, serve.PlanRequest{Expr: expr, TopK: 8, Limit: 4})
+	page1, _ := postPlan(t, s, api.QueryRequest{Expr: expr, TopK: 8, Limit: 4})
 	if page1.TotalItems == 0 {
 		t.Fatal("plan matched nothing; pick a denser window")
 	}
@@ -189,9 +202,7 @@ func TestPlanPagingPinnedAcrossIngest(t *testing.T) {
 	// Ingest advances between the client's page requests.
 	s.advanceAll(t, 45)
 
-	pinned, resp := postPlan(t, s, serve.PlanRequest{
-		Expr: expr, TopK: 8, Limit: 4, Offset: 4, AtWatermarks: page1.Watermarks,
-	})
+	pinned, resp := postPlan(t, s, api.QueryRequest{Cursor: page1.Cursor, Limit: 4})
 	if h := resp.Header.Get("X-Focus-Cache"); h != "hit" {
 		t.Errorf("pinned page after ingest advance: cache header %q, want hit (same execution)", h)
 	}
@@ -204,8 +215,8 @@ func TestPlanPagingPinnedAcrossIngest(t *testing.T) {
 		}
 	}
 	// The two pages concatenate to the pinned one-shot ranking.
-	oneShot, _ := postPlan(t, s, serve.PlanRequest{Expr: expr, TopK: 8, AtWatermarks: page1.Watermarks})
-	both := append(append([]serve.PlanItem{}, page1.Items...), pinned.Items...)
+	oneShot, _ := postPlan(t, s, api.QueryRequest{Expr: expr, TopK: 8, At: page1.Watermarks})
+	both := append(append([]api.Item{}, page1.Items...), pinned.Items...)
 	if len(both) != len(oneShot.Items) {
 		t.Fatalf("pages sum to %d items, pinned one-shot %d", len(both), len(oneShot.Items))
 	}
@@ -215,7 +226,7 @@ func TestPlanPagingPinnedAcrossIngest(t *testing.T) {
 		}
 	}
 	// An unpinned request after the advance snapshots the new horizon.
-	fresh, _ := postPlan(t, s, serve.PlanRequest{Expr: expr, TopK: 8})
+	fresh, _ := postPlan(t, s, api.QueryRequest{Expr: expr, TopK: 8})
 	for name, wm := range fresh.Watermarks {
 		if wm <= page1.Watermarks[name] {
 			t.Fatalf("unpinned request still at %s@%g", name, wm)
@@ -228,7 +239,7 @@ func TestPlanBadRequests(t *testing.T) {
 	s := bootTestService(t, focus.Config{}, serve.Config{NoBackgroundIngest: true}, "auburn_c")
 
 	post := func(body string) int {
-		resp, err := http.Post(s.http.URL+"/plan", "application/json", bytes.NewReader([]byte(body)))
+		resp, err := http.Post(s.http.URL+api.PathQuery, "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,15 +260,15 @@ func TestPlanBadRequests(t *testing.T) {
 	}
 	for _, tc := range cases {
 		if got := post(tc.body); got != tc.want {
-			t.Errorf("POST /plan %s: status %d, want %d", tc.body, got, tc.want)
+			t.Errorf("POST %s %s: status %d, want %d", api.PathQuery, tc.body, got, tc.want)
 		}
 	}
-	resp, err := http.Get(s.http.URL + "/plan")
+	resp, err := http.Get(s.http.URL + api.PathQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /plan: status %d, want 405", resp.StatusCode)
+		t.Errorf("GET %s: status %d, want 405", api.PathQuery, resp.StatusCode)
 	}
 }

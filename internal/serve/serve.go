@@ -19,12 +19,9 @@
 // The primary surface is the versioned wire contract of focus/api: POST
 // /v1/query (one endpoint for single-class and compound queries — a
 // single-class query is a one-leaf plan — with opaque watermark-stable
-// cursor paging), GET /v1/streams, GET /v1/stats. The pre-v1 endpoints
-// (GET /query, POST /plan) remain as deprecated shims that translate into
-// the same execution core and reproduce the legacy wire format byte for
-// byte (pinned by the goldens under testdata/legacy); their use is counted
-// in the stats legacy_requests counter. GET /healthz and POST /drain are
-// the unversioned process-lifecycle surface.
+// cursor paging), POST /v1/subscribe, GET /v1/streams, GET /v1/stats.
+// GET /healthz and POST /drain are the unversioned process-lifecycle
+// surface; nothing else is mounted.
 //
 // The server is also shard-aware: a focus-router front tier can place
 // several serve processes behind one endpoint, speaking v1 on both sides.
@@ -188,10 +185,10 @@ type Server struct {
 	queries      atomic.Int64
 	planQueries  atomic.Int64
 	trackQueries atomic.Int64
-	// earlyExitQueries counts ranked queries served in early-exit mode
-	// (a subset of planQueries; cache hits included).
+	// earlyExitQueries counts ranked queries admitted in early-exit mode
+	// (a subset of planQueries, counted at the same site; cache hits
+	// included, standing-query evaluations not).
 	earlyExitQueries atomic.Int64
-	legacyReqs       atomic.Int64
 	cacheHits        atomic.Int64
 	cacheMisses      atomic.Int64
 	rejected         atomic.Int64
@@ -232,18 +229,12 @@ func New(sys *focus.System, cfg Config) *Server {
 		importTimers: make(map[string]*time.Timer),
 	}
 	s.mux = http.NewServeMux()
-	// The v1 contract is the primary surface…
+	// The v1 contract is the query and read surface; process lifecycle
+	// (health, drain) is unversioned.
 	s.mux.HandleFunc(api.PathQuery, s.handleV1Query)
 	s.mux.HandleFunc(api.PathSubscribe, s.handleV1Subscribe)
 	s.mux.HandleFunc(api.PathStreams, s.handleStreams)
 	s.mux.HandleFunc(api.PathStats, s.handleStats)
-	// …the pre-v1 query endpoints remain as deprecated shims…
-	s.mux.HandleFunc(api.PathLegacyQuery, s.handleLegacyQuery)
-	s.mux.HandleFunc(api.PathLegacyPlan, s.handleLegacyPlan)
-	// …and the unversioned operational endpoints stay where ops tooling
-	// expects them.
-	s.mux.HandleFunc("/streams", s.handleStreams)
-	s.mux.HandleFunc("/stats", s.handleStats)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/drain", s.handleDrain)
 	// The live-handoff admin surface (see handoff.go): a reshard
@@ -261,11 +252,10 @@ func New(sys *focus.System, cfg Config) *Server {
 	return s
 }
 
-// DrainingHeader marks a legacy-surface 503 caused by draining (this
-// shard's, or — when set by the router — the named shard's). The v1
-// surface carries the same information as the structured error code
-// "draining" (with the shard name in Error.Shard); the header survives on
-// the legacy shims and on /healthz, where pre-v1 tooling sniffs it.
+// DrainingHeader marks /healthz's 503 as a deliberate drain, for probes
+// that read headers rather than bodies. The v1 surface carries the same
+// information as the structured error code "draining" (with the shard name
+// in Error.Shard).
 const DrainingHeader = "X-Focus-Draining"
 
 // Handler returns the HTTP handler (fault-injection middleware included,
@@ -393,9 +383,9 @@ func (s *Server) Stop() {
 }
 
 // StartDrain takes the server out of rotation: subsequent query requests
-// are rejected with the structured "draining" error (503, plus the legacy
-// marker header on the shim surface) while /streams, /stats and /healthz
-// keep answering, and background ingestion keeps advancing watermarks.
+// are rejected with the structured "draining" error (503) while
+// /v1/streams, /v1/stats and /healthz keep answering, and background
+// ingestion keeps advancing watermarks.
 // In-flight queries finish normally; standing queries are closed with a
 // typed EventBye/ReasonDraining terminal (their evaluation is exactly the
 // load draining exists to shed). Draining is one-way; restart the process
@@ -417,7 +407,8 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.clientErrs.Add(1)
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST to /drain"})
+		writeJSON(w, http.StatusMethodNotAllowed, api.Envelope{
+			Err: api.Errorf(api.CodeBadRequest, "POST to /drain")})
 		return
 	}
 	s.StartDrain()
@@ -605,8 +596,8 @@ func (s *Server) resolveVector(names []string, pins api.WatermarkVector) ([]stri
 	return names, vector, nil
 }
 
-// StreamStatus is one entry of the /v1/streams (and legacy /streams)
-// payload — the shared wire type, shard-annotated only by a router.
+// StreamStatus is one entry of the /v1/streams payload — the shared wire
+// type, shard-annotated only by a router.
 type StreamStatus = api.StreamStatus
 
 func (s *Server) handleStreams(w http.ResponseWriter, r *http.Request) {
@@ -647,7 +638,7 @@ func (s *Server) handleStreams(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// Stats is the /v1/stats (and legacy /stats) payload.
+// Stats is the /v1/stats payload.
 type Stats struct {
 	UptimeSec   float64 `json:"uptime_sec"`
 	Ready       bool    `json:"ready"`
@@ -656,20 +647,17 @@ type Stats struct {
 	PlanQueries int64   `json:"plan_queries"`
 	// TrackQueries counts temporal (tracks-form) queries.
 	TrackQueries int64 `json:"track_queries"`
-	// EarlyExitQueries counts ranked queries served in early-exit mode, a
+	// EarlyExitQueries counts ranked queries admitted in early-exit mode, a
 	// subset of PlanQueries — the operator's gauge for how much traffic
 	// has opted into the approximate mode (see OPERATIONS.md).
 	EarlyExitQueries int64 `json:"early_exit_queries"`
-	// LegacyRequests counts requests arriving through the deprecated
-	// /query and /plan shims — the operator's client-migration gauge.
-	LegacyRequests int64 `json:"legacy_requests"`
-	CacheHits      int64 `json:"cache_hits"`
-	CacheMisses    int64 `json:"cache_misses"`
-	CacheEntries   int   `json:"cache_entries"`
-	Rejected       int64 `json:"rejected"`
-	ClientErrors   int64 `json:"client_errors"`
-	ServerErrors   int64 `json:"server_errors"`
-	IngestErrors   int64 `json:"ingest_errors"`
+	CacheHits        int64 `json:"cache_hits"`
+	CacheMisses      int64 `json:"cache_misses"`
+	CacheEntries     int   `json:"cache_entries"`
+	Rejected         int64 `json:"rejected"`
+	ClientErrors     int64 `json:"client_errors"`
+	ServerErrors     int64 `json:"server_errors"`
+	IngestErrors     int64 `json:"ingest_errors"`
 	// Checkpoints counts durable checkpoint rounds; CheckpointErrors
 	// failed rounds (including manifest publish failures);
 	// RestoredStreams how many streams this process cold-started from a
@@ -713,7 +701,8 @@ type Stats struct {
 	QueryGPUOps     int64              `json:"query_gpu_ops"`
 }
 
-// Snapshot returns the server's current counters (also served at /stats).
+// Snapshot returns the server's current counters (also served at
+// /v1/stats).
 func (s *Server) Snapshot() Stats {
 	meter := s.sys.GPUMeter()
 	subs := s.subs.Stats()
@@ -729,7 +718,6 @@ func (s *Server) Snapshot() Stats {
 		PlanQueries:         s.planQueries.Load(),
 		TrackQueries:        s.trackQueries.Load(),
 		EarlyExitQueries:    s.earlyExitQueries.Load(),
-		LegacyRequests:      s.legacyReqs.Load(),
 		CacheHits:           s.cacheHits.Load(),
 		CacheMisses:         s.cacheMisses.Load(),
 		CacheEntries:        s.cache.len(),

@@ -1,9 +1,13 @@
 package serve_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -66,17 +70,61 @@ func (s *testService) advanceAll(t testing.TB, toSec float64) {
 	}
 }
 
-func (s *testService) getQuery(t testing.TB, params string) (*serve.QueryResponse, *http.Response) {
+// postQuery POSTs one /v1/query written in the query-parameter spelling
+// these tests use for single-class requests ("class=car&streams=a,b&
+// at=a@20,b@20&kx=2"): class becomes expr, streams a list, at a watermark
+// vector, everything else a numeric option. A value that is not a number
+// passes through as a string, so a malformed parameter stays a malformed
+// request.
+func postQuery(t testing.TB, baseURL, params string) *http.Response {
 	t.Helper()
-	resp, err := http.Get(s.http.URL + "/query?" + params)
+	q, err := url.ParseQuery(params)
 	if err != nil {
 		t.Fatal(err)
 	}
+	number := func(v string) any {
+		if f, err := strconv.ParseFloat(v, 64); err == nil {
+			return f
+		}
+		return v
+	}
+	body := map[string]any{}
+	for key := range q {
+		switch v := q.Get(key); key {
+		case "class":
+			body["expr"] = v
+		case "streams":
+			body["streams"] = strings.Split(v, ",")
+		case "at":
+			at := map[string]any{}
+			for _, pair := range strings.Split(v, ",") {
+				name, sec, _ := strings.Cut(pair, "@")
+				at[name] = number(sec)
+			}
+			body["at"] = at
+		default:
+			body[key] = number(v)
+		}
+	}
+	raw, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(baseURL+api.PathQuery, "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+func (s *testService) getQuery(t testing.TB, params string) (*api.QueryResponse, *http.Response) {
+	t.Helper()
+	resp := postQuery(t, s.http.URL, params)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /query?%s: status %d", params, resp.StatusCode)
+		t.Fatalf("POST %s %s: status %d", api.PathQuery, params, resp.StatusCode)
 	}
-	var qr serve.QueryResponse
+	var qr api.QueryResponse
 	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +178,7 @@ func TestResultCacheHitAndInvalidation(t *testing.T) {
 	if miss2.TotalFrames < miss1.TotalFrames {
 		t.Errorf("larger horizon lost frames: %d at 20s, %d at 40s", miss1.TotalFrames, miss2.TotalFrames)
 	}
-	if err := verify(asAPIResponse(miss2)); err != nil {
+	if err := verify(miss2); err != nil {
 		t.Errorf("re-verified result diverges from direct query: %v", err)
 	}
 	if hit2, _ := svc.getQuery(t, "class=car"); !hit2.Cached {
@@ -141,28 +189,6 @@ func TestResultCacheHitAndInvalidation(t *testing.T) {
 	if stats.CacheHits != 2 || stats.CacheMisses != 2 {
 		t.Errorf("stats: %d hits / %d misses, want 2/2", stats.CacheHits, stats.CacheMisses)
 	}
-}
-
-// asAPIResponse lifts a legacy /query response into the v1 frames form,
-// the shape the served-vs-direct verifier consumes — the same translation
-// an unmigrated client's traffic goes through in loadgen's legacy mix.
-func asAPIResponse(qr *serve.QueryResponse) *api.QueryResponse {
-	out := &api.QueryResponse{
-		Expr:        qr.Class,
-		Form:        api.FormFrames,
-		Watermarks:  make(api.WatermarkVector, len(qr.Streams)),
-		Streams:     qr.Streams,
-		TotalFrames: qr.TotalFrames,
-		Kx:          qr.Kx,
-		Start:       qr.Start,
-		End:         qr.End,
-		MaxClusters: qr.MaxClusters,
-		Cached:      qr.Cached,
-	}
-	for name, sr := range qr.Streams {
-		out.Watermarks[name] = sr.Watermark
-	}
-	return out
 }
 
 // TestAdmissionControlRejectsOverload saturates a one-worker, zero-queue
@@ -182,7 +208,8 @@ func TestAdmissionControlRejectsOverload(t *testing.T) {
 		wg.Add(1)
 		go func(i int, class string) {
 			defer wg.Done()
-			resp, err := http.Get(svc.http.URL + "/query?class=" + class)
+			resp, err := http.Post(svc.http.URL+api.PathQuery, "application/json",
+				strings.NewReader(`{"expr":"`+class+`"}`))
 			if err != nil {
 				t.Error(err)
 				return
@@ -215,8 +242,8 @@ func TestAdmissionControlRejectsOverload(t *testing.T) {
 	}
 }
 
-// TestEndpointsAndValidation covers /healthz, /streams, /stats and the
-// /query error taxonomy.
+// TestEndpointsAndValidation covers /healthz, /v1/streams, /v1/stats and
+// the single-class query error taxonomy.
 func TestEndpointsAndValidation(t *testing.T) {
 	svc := bootTestService(t, focus.Config{},
 		serve.Config{NoBackgroundIngest: true}, "auburn_c", "msnbc")
@@ -231,7 +258,7 @@ func TestEndpointsAndValidation(t *testing.T) {
 		t.Errorf("/healthz: %d", resp.StatusCode)
 	}
 
-	resp, err = http.Get(svc.http.URL + "/streams")
+	resp, err = http.Get(svc.http.URL + api.PathStreams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +268,7 @@ func TestEndpointsAndValidation(t *testing.T) {
 	}
 	resp.Body.Close()
 	if len(streams) != 2 {
-		t.Fatalf("/streams returned %d entries, want 2", len(streams))
+		t.Fatalf("%s returned %d entries, want 2", api.PathStreams, len(streams))
 	}
 	for _, st := range streams {
 		if st.Watermark != 10 {
@@ -252,7 +279,7 @@ func TestEndpointsAndValidation(t *testing.T) {
 		}
 	}
 
-	resp, err = http.Get(svc.http.URL + "/stats")
+	resp, err = http.Get(svc.http.URL + api.PathStats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +289,7 @@ func TestEndpointsAndValidation(t *testing.T) {
 	}
 	resp.Body.Close()
 	if !stats.Ready || len(stats.Watermarks) != 2 {
-		t.Errorf("/stats: ready=%v watermarks=%v", stats.Ready, stats.Watermarks)
+		t.Errorf("%s: ready=%v watermarks=%v", api.PathStats, stats.Ready, stats.Watermarks)
 	}
 
 	for _, bad := range []string{
@@ -272,22 +299,60 @@ func TestEndpointsAndValidation(t *testing.T) {
 		"class=car&kx=-3",        // bad kx
 		"class=car&start=x",      // bad float
 	} {
-		resp, err := http.Get(svc.http.URL + "/query?" + bad)
+		resp := postQuery(t, svc.http.URL, bad)
+		var e api.Envelope
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || e.Err == nil {
+			t.Errorf("query %q: status %d (%+v), want a 400 envelope", bad, resp.StatusCode, e.Err)
+		}
+	}
+
+	// /drain is POST-only, and says so in the v1 envelope.
+	resp, err = http.Get(svc.http.URL + "/drain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e api.Envelope
+	_ = json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed || e.Err == nil || e.Err.Code != api.CodeBadRequest {
+		t.Errorf("GET /drain: status %d (%+v), want 405 with a bad_request envelope", resp.StatusCode, e.Err)
+	}
+	if svc.srv.Draining() {
+		t.Error("a rejected GET /drain drained the server")
+	}
+}
+
+// TestPreV1PathsAreGone: the unversioned query endpoints and ops aliases
+// were removed outright; nothing may answer there.
+func TestPreV1PathsAreGone(t *testing.T) {
+	svc := bootTestService(t, focus.Config{},
+		serve.Config{NoBackgroundIngest: true}, "auburn_c")
+	for _, r := range []struct{ method, path string }{
+		{http.MethodGet, "/query?class=car"},
+		{http.MethodPost, "/plan"},
+		{http.MethodGet, "/streams"},
+		{http.MethodGet, "/stats"},
+	} {
+		req, err := http.NewRequest(r.method, svc.http.URL+r.path, strings.NewReader(`{"expr":"car"}`))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var e serve.ErrorResponse
-		_ = json.NewDecoder(resp.Body).Decode(&e)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("query %q: status %d (%s), want 400", bad, resp.StatusCode, e.Error)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", r.method, r.path, resp.StatusCode)
 		}
 	}
 }
 
 // TestServeUnderConcurrentLoadWithBackgroundIngest is the in-repo miniature
 // of the CI smoke gate: background ingesters advancing watermarks while
-// loadgen clients hammer /query, every response verified against a direct
+// loadgen clients hammer /v1/query, every response verified against a direct
 // library query at its watermark vector. Run under -race this is the
 // concurrent Query/Ingest satellite test.
 func TestServeUnderConcurrentLoadWithBackgroundIngest(t *testing.T) {

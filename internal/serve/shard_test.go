@@ -1,12 +1,15 @@
 package serve_test
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
 	"focus"
+	"focus/api"
 	"focus/internal/serve"
 )
 
@@ -19,7 +22,7 @@ func TestCacheKeyingWithPinnedVectors(t *testing.T) {
 		serve.Config{NoBackgroundIngest: true}, "auburn_c", "jacksonh")
 	svc.advanceAll(t, 20)
 
-	cacheState := func(params string) (*serve.QueryResponse, string) {
+	cacheState := func(params string) (*api.QueryResponse, string) {
 		qr, resp := svc.getQuery(t, params)
 		return qr, resp.Header.Get("X-Focus-Cache")
 	}
@@ -74,10 +77,7 @@ func TestCacheKeyingWithPinnedVectors(t *testing.T) {
 
 	// A pin beyond the sealed horizon has no stable answer — and would
 	// poison the cache entry a future snapshot legitimately keys on. 400.
-	resp, err := http.Get(svc.http.URL + "/query?class=car&at=auburn_c@55,jacksonh@30")
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := postQuery(t, svc.http.URL, "class=car&at=auburn_c@55,jacksonh@30")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("future-pinned query: status %d, want 400", resp.StatusCode)
@@ -101,14 +101,12 @@ func TestDrainingRejectsQueriesKeepsOpsSurfaces(t *testing.T) {
 		t.Fatalf("POST /drain: status %d", resp.StatusCode)
 	}
 
-	resp, err = http.Get(svc.http.URL + "/query?class=car")
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp = postQuery(t, svc.http.URL, "class=car")
+	var e api.Envelope
+	_ = json.NewDecoder(resp.Body).Decode(&e)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get(serve.DrainingHeader) == "" {
-		t.Fatalf("query while draining: status %d, draining header %q",
-			resp.StatusCode, resp.Header.Get(serve.DrainingHeader))
+	if resp.StatusCode != http.StatusServiceUnavailable || e.Err == nil || e.Err.Code != api.CodeDraining {
+		t.Fatalf("query while draining: status %d, error %+v", resp.StatusCode, e.Err)
 	}
 
 	resp, err = http.Get(svc.http.URL + "/healthz")
@@ -122,7 +120,7 @@ func TestDrainingRejectsQueriesKeepsOpsSurfaces(t *testing.T) {
 	}
 
 	// Ops surfaces stay live so the router keeps its ownership view.
-	for _, ep := range []string{"/streams", "/stats"} {
+	for _, ep := range []string{api.PathStreams, api.PathStats} {
 		resp, err := http.Get(svc.http.URL + ep)
 		if err != nil {
 			t.Fatal(err)
@@ -138,7 +136,7 @@ func TestDrainingRejectsQueriesKeepsOpsSurfaces(t *testing.T) {
 }
 
 // TestStatsConcurrentWithBootAndDrain is the -race regression net for the
-// /stats counter audit: the ops surfaces are served from the moment the
+// /v1/stats counter audit: the ops surfaces are served from the moment the
 // listener is up — during Start (readiness probing), during queries, and
 // during a drain — so every counter Snapshot reads must be safely
 // published. The uptime field was the one audit finding: Start stored a
@@ -179,11 +177,15 @@ func TestStatsConcurrentWithBootAndDrain(t *testing.T) {
 					return
 				default:
 				}
-				for _, ep := range []string{"/stats", "/healthz", "/streams", "/query?class=car"} {
+				for _, ep := range []string{api.PathStats, "/healthz", api.PathStreams} {
 					resp, err := http.Get(ts.URL + ep)
 					if err == nil {
 						resp.Body.Close()
 					}
+				}
+				resp, err := http.Post(ts.URL+api.PathQuery, "application/json", strings.NewReader(`{"expr":"car"}`))
+				if err == nil {
+					resp.Body.Close()
 				}
 			}
 		}()

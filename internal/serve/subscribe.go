@@ -3,10 +3,8 @@ package serve
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"sort"
-	"strings"
 
 	"focus/api"
 	"focus/internal/subscribe"
@@ -16,51 +14,32 @@ import (
 // registry (internal/subscribe) onto the v1 execution core. A standing
 // query is the same pure function /v1/query evaluates — the handler
 // resolves the request through resolveV1 and hands the registry an
-// evaluator that calls executeRanked/executeTracks directly, so
-// subscription evaluations share the result cache (and, beneath it, the
-// engine's GT-verdict cache) with one-shot queries. Subscriptions bypass
-// the admission limiter: their evaluation cadence is governed by the
-// ingest clock and the registry's coalescing, not by client arrivals, so
-// counting them against the query worker pool would let a slow advance
-// starve interactive traffic (and vice versa).
+// evaluator that calls execute directly, so subscription evaluations share
+// the result cache (and, beneath it, the engine's GT-verdict cache) with
+// one-shot queries. Subscriptions bypass the admission limiter and the
+// query counters: their evaluation cadence is governed by the ingest clock
+// and the registry's coalescing, not by client arrivals, so counting them
+// against the query worker pool would let a slow advance starve
+// interactive traffic (and vice versa).
 
 // subscribeEval builds the registry's evaluator for a resolved standing
 // query: nil pins snapshot the current watermarks, explicit pins replay a
 // sealed horizon (a resume vector ahead of this process's watermark fails
 // typed as pin_ahead, telling the client its resume point outruns the
-// restarted server). The closure returns full, unpaged answers — v1Exec
-// paging fields stay zero for subscriptions.
+// restarted server). The closure returns full, unpaged answers — a
+// subscription's Limit and Offset stay zero.
 func (s *Server) subscribeEval(ex *v1Exec, names []string) subscribe.Eval {
 	return func(pins api.WatermarkVector) (*api.QueryResponse, error) {
 		_, vector, aerr := s.resolveVector(names, pins)
 		if aerr != nil {
 			return nil, aerr
 		}
-		var resp *api.QueryResponse
-		if ex.tracked {
-			resp, aerr = s.executeTracks(ex, names, vector)
-		} else {
-			resp, aerr = s.executeRanked(ex, names, vector)
-		}
+		resp, aerr := s.execute(ex, names, vector)
 		if aerr != nil {
 			return nil, aerr
 		}
 		return resp, nil
 	}
-}
-
-// subscriptionKey is the coalescing identity: every subscription with the
-// same canonical plan, options, form and stream set shares one evaluation
-// per advance. The resume vector is deliberately absent — it shapes a
-// subscriber's catch-up delta, not the group's pure function.
-func subscriptionKey(canonical string, ex *v1Exec, names []string) string {
-	form := api.FormRanked
-	if ex.tracked {
-		form = api.FormTracks
-	}
-	return fmt.Sprintf("%s|%s|k=%d&kx=%d&s=%g&e=%g&m=%d&mode=%s|%s",
-		form, canonical, ex.topK, ex.kx, ex.start, ex.end, ex.maxClusters, ex.mode,
-		strings.Join(names, ","))
 }
 
 // resolveSubscription normalizes a wire SubscribeRequest into the resolved
@@ -88,28 +67,22 @@ func (s *Server) resolveSubscription(req *api.SubscribeRequest) (*v1Exec, subscr
 	// A single-class subscription without TopK would resolve to the frames
 	// form for a one-shot query; deltas are defined over the ranked list,
 	// so subscriptions always take the ranked path when not temporal.
-	if !ex.tracked {
-		ex.ranked = true
-	}
-	names, _, aerr := s.resolveVector(ex.streams, nil)
+	ex.Frames = false
+	names, _, aerr := s.resolveVector(ex.Streams, nil)
 	if aerr != nil {
 		return nil, subscribe.Options{}, aerr
 	}
 	names = append([]string(nil), names...)
 	sort.Strings(names)
-	canonical := ""
-	if ex.tracked {
-		canonical = ex.trackPlan.Canonical()
-	} else {
-		canonical = ex.compiled.Canonical()
-	}
-	form := api.FormRanked
-	if ex.tracked {
-		form = api.FormTracks
-	}
+	// The coalescing identity: every subscription with the same canonical
+	// plan, options, form and stream set shares one evaluation per advance.
+	// The resume vector is deliberately absent — it shapes a subscriber's
+	// catch-up delta, not the group's pure function.
+	id := ex.Cursor
+	id.Streams, id.At = names, nil
 	o := subscribe.Options{
-		Key:     subscriptionKey(canonical, ex, names),
-		Form:    form,
+		Key:     execKey(ex.ResponseForm(), &id),
+		Form:    ex.ResponseForm(),
 		Streams: names,
 		Eval:    s.subscribeEval(ex, names),
 		From:    req.From,
@@ -121,22 +94,16 @@ func (s *Server) resolveSubscription(req *api.SubscribeRequest) (*v1Exec, subscr
 // the stream's first frame; a reconnecting Subscriber compares it against
 // the original to detect a plan drifting underneath a resume.
 func subscribeHello(ex *v1Exec, o subscribe.Options) *api.SubscribeHello {
-	canonical := ""
-	if ex.tracked {
-		canonical = ex.trackPlan.Canonical()
-	} else {
-		canonical = ex.compiled.Canonical()
-	}
 	return &api.SubscribeHello{
-		Expr:        canonical,
+		Expr:        ex.Expr,
 		Form:        o.Form,
 		Streams:     o.Streams,
-		TopK:        ex.topK,
-		Kx:          ex.kx,
-		Start:       ex.start,
-		End:         ex.end,
-		MaxClusters: ex.maxClusters,
-		Mode:        ex.mode,
+		TopK:        ex.TopK,
+		Kx:          ex.Kx,
+		Start:       ex.Start,
+		End:         ex.End,
+		MaxClusters: ex.MaxClusters,
+		Mode:        ex.Mode,
 	}
 }
 

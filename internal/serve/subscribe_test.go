@@ -97,7 +97,7 @@ func (a *reassembly) apply(t testing.TB, d *api.Delta) {
 	}
 	var err error
 	if a.form == api.FormTracks {
-		a.tracks, err = api.ApplyDeltaTracks(a.tracks, d)
+		a.tracks, err = api.ApplyDelta(a.tracks, d.Tracks, d.RemovedTracks, d.TotalItems)
 	} else {
 		a.items, err = api.ApplyDeltaItems(a.items, d)
 	}

@@ -12,186 +12,92 @@ import (
 	"focus/internal/track"
 )
 
-// This file is the v1 execution core: one resolved request shape
-// (v1Exec), one execution function (executeV1) shared by the POST
-// /v1/query handler and both legacy shims, so the three surfaces can
-// never diverge on admission, snapshotting, caching, or answer semantics.
+// This file is the v1 execution core: one resolved request shape (v1Exec)
+// and one execute-or-cache → page → mint-cursor path (execute) shared by
+// POST /v1/query and the standing-query evaluator, so every answer form
+// and both surfaces agree on admission, snapshotting, caching and answer
+// semantics by construction. The three forms differ only in the small
+// function (runFrames / runRanked / runTracks) that runs the engine at the
+// pinned identity and renders its result.
 
-// v1Exec is a fully resolved v1 execution: predicate compiled, paging
-// normalized to (limit, offset), cursor already expanded into its frozen
-// stream set and pinned vector.
+// v1Exec is a fully resolved v1 execution: the request's identity and page
+// ask (with Expr already canonical) plus the compiled predicate.
 type v1Exec struct {
+	api.Exec
 	compiled *plan.Plan
 	// trackPlan is set instead of compiled for temporal expressions
-	// (tracked form): the two compile paths are mutually exclusive.
+	// (tracks form): the two compile paths are mutually exclusive.
 	trackPlan *track.Plan
-	// streams is the requested stream set (normalized; empty = all).
-	streams []string
-	// pins are explicit per-stream watermark pins (nil = snapshot all).
-	pins                  api.WatermarkVector
-	topK, kx, maxClusters int
-	start, end            float64
-	limit, offset         int
-	// mode is the execution mode in canonical form: "" = exact,
-	// api.ModeEarlyExit = early exit. Ranked form only.
-	mode string
-	// ranked selects the ranked (plan) form; false executes the
-	// single-class engine and answers in the frames form.
-	ranked bool
-	// tracked selects the tracks (temporal) form; set exactly when the
-	// expression contains a temporal operator.
-	tracked bool
 }
 
-// resolveV1 normalizes a wire QueryRequest into a v1Exec: validates
-// fields, expands the cursor, compiles the predicate, and picks the
-// response form.
+// resolveV1 normalizes a wire QueryRequest into a v1Exec: the shared
+// request-shape rule validates it and picks the form, then the predicate
+// is compiled against this system's class space.
 func (s *Server) resolveV1(req *api.QueryRequest) (*v1Exec, *api.Error) {
-	if req.Limit < 0 {
-		return nil, api.Errorf(api.CodeBadRequest, "negative query parameter")
-	}
-	if req.Cursor != "" {
-		cur, aerr := api.CursorForRequest(req)
-		if aerr != nil {
-			return nil, aerr
+	// Parse once: the shape decides the form, the same AST is compiled.
+	var ast plan.Expr
+	rx, aerr := api.ResolveRequest(req, func(expr string) (shape api.ExprShape, err error) {
+		if ast, err = plan.Parse(expr); err == nil {
+			shape = api.ExprShape{Temporal: plan.HasTemporal(ast), SingleLeaf: plan.IsSingleLeafExpr(ast)}
 		}
-		ex := &v1Exec{
-			streams:     cur.Streams,
-			pins:        cur.At,
-			topK:        cur.TopK,
-			kx:          cur.Kx,
-			start:       cur.Start,
-			end:         cur.End,
-			maxClusters: cur.MaxClusters,
-			limit:       req.Limit,
-			offset:      cur.Offset,
-			mode:        cur.Mode,
-		}
-		// The token's Form field tells a tracks continuation apart from a
-		// ranked one; tokens minted before the tracks form existed carry
-		// no Form and continue as ranked.
-		if cur.Form == api.FormTracks {
-			tp, cerr := s.sys.CompileTrackQuery(cur.Expr)
-			if cerr != nil {
-				return nil, api.Errorf(api.CodeBadCursor, "cursor predicate no longer compiles: %v", cerr)
-			}
-			ex.trackPlan, ex.tracked = tp, true
-			return ex, nil
-		}
-		compiled, cerr := s.sys.CompilePlan(cur.Expr)
-		if cerr != nil {
-			return nil, api.Errorf(api.CodeBadCursor, "cursor predicate no longer compiles: %v", cerr)
-		}
-		ex.compiled, ex.ranked = compiled, true
-		return ex, nil
-	}
-	if req.Expr == "" {
-		return nil, api.Errorf(api.CodeBadRequest, "missing required field: expr")
-	}
-	if req.TopK < 0 || req.Kx < 0 || req.MaxClusters < 0 || req.Start < 0 || req.End < 0 {
-		return nil, api.Errorf(api.CodeBadRequest, "negative query parameter")
-	}
-	// Parse before compiling so the expression's shape — temporal or
-	// boolean — picks the execution path; parse errors surface with the
-	// parser's offset/context detail (code bad_expr).
-	ast, err := plan.Parse(req.Expr)
-	if err != nil {
-		return nil, api.Errorf(api.CodeBadExpr, "%v", err)
-	}
-	mode, aerr := api.NormalizeMode(req.Mode, req.TopK)
+		return shape, err
+	})
 	if aerr != nil {
 		return nil, aerr
 	}
-	ex := &v1Exec{
-		streams:     api.NormalizeStreams(req.Streams),
-		pins:        req.At,
-		topK:        req.TopK,
-		kx:          req.Kx,
-		start:       req.Start,
-		end:         req.End,
-		maxClusters: req.MaxClusters,
-		limit:       req.Limit,
-		mode:        mode,
+	ex, err := s.compile(rx, ast)
+	switch {
+	case err == nil:
+		return ex, nil
+	case req.Cursor != "":
+		return nil, api.Errorf(api.CodeBadCursor, "cursor predicate no longer compiles: %v", err)
 	}
-	if plan.HasTemporal(ast) {
-		if mode != "" {
-			return nil, api.Errorf(api.CodeBadRequest,
-				"mode %q applies to ranked executions only, not temporal (tracks-form) expressions", mode)
+	return nil, api.Errorf(api.CodeBadExpr, "%v", err)
+}
+
+// compile compiles a resolved predicate against this system's class space
+// and canonicalises its text. A nil ast — a cursor continuation, whose
+// token carries the canonical text — is parsed first.
+func (s *Server) compile(rx *api.Exec, ast plan.Expr) (*v1Exec, error) {
+	if ast == nil {
+		var err error
+		if ast, err = plan.Parse(rx.Expr); err != nil {
+			return nil, err
 		}
-		if req.Form != "" && req.Form != api.FormTracks {
-			return nil, api.Errorf(api.CodeBadRequest,
-				"temporal expressions answer in the %q form; form must be omitted or %q", api.FormTracks, api.FormTracks)
-		}
+	}
+	ex := &v1Exec{Exec: *rx}
+	if rx.Form == api.FormTracks {
 		tp, err := s.sys.CompileTrackExpr(ast)
 		if err != nil {
-			return nil, api.Errorf(api.CodeBadExpr, "%v", err)
+			return nil, err
 		}
-		ex.trackPlan, ex.tracked = tp, true
+		ex.Expr, ex.trackPlan = tp.Canonical(), tp
 		return ex, nil
-	}
-	if req.Form != "" && req.Form != api.FormRanked {
-		return nil, api.Errorf(api.CodeBadRequest,
-			"form must be omitted or %q (%q is for temporal expressions)", api.FormRanked, api.FormTracks)
 	}
 	compiled, err := s.sys.CompilePlanExpr(ast)
 	if err != nil {
-		return nil, api.Errorf(api.CodeBadExpr, "%v", err)
+		return nil, err
 	}
-	ex.compiled = compiled
-	// A bare one-leaf plan with no ranking or paging ask is the paper's
-	// single-class query: answer it in the frames form through the
-	// single-class engine. Everything else — compound predicates, TopK,
-	// paging, or an explicit form override — takes the ranked path.
-	_, single := compiled.SingleClass()
-	ex.ranked = !single || req.TopK != 0 || req.Limit != 0 || req.Form == api.FormRanked
+	ex.Expr, ex.compiled = compiled.Canonical(), compiled
 	return ex, nil
 }
 
-// frames-form cache keys keep the pre-v1 format, so legacy-shim and v1
-// requests denoting the same pure function share one entry.
-func framesCacheKey(class string, ex *v1Exec, names []string, vector api.WatermarkVector) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "c=%s&kx=%d&s=%g&e=%g&m=%d", class, ex.kx, ex.start, ex.end, ex.maxClusters)
-	for _, n := range names {
-		fmt.Fprintf(&b, "|%s@%g", n, vector[n])
-	}
-	return b.String()
-}
-
-// rankedCacheKey likewise keeps the pre-v1 /plan key format. The canonical
-// predicate (not the request text) keys the entry, so "car&person" and
-// " car & person " collide; limit/offset are deliberately absent — paging
-// shares the cached execution.
-func rankedCacheKey(canonical string, ex *v1Exec, names []string, vector api.WatermarkVector) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "plan|%s|k=%d&kx=%d&s=%g&e=%g&m=%d", canonical, ex.topK,
-		ex.kx, ex.start, ex.end, ex.maxClusters)
-	if ex.mode != "" {
-		// Modes are disjoint pure functions, so they must be disjoint cache
-		// entries. Exact mode keeps the unsuffixed pre-mode key (cache
-		// compatibility with the legacy /plan shim's requests).
-		fmt.Fprintf(&b, "&mode=%s", ex.mode)
-	}
-	for _, n := range names {
-		fmt.Fprintf(&b, "|%s@%g", n, vector[n])
-	}
-	return b.String()
-}
-
-// executeV1 admits, resolves, executes (or serves from cache), and pages
-// one v1 execution. The returned response is private to the caller (safe
-// to hand to an encoder); cached state is never aliased mutably.
+// executeV1 admits and counts one v1 query, snapshots its watermark
+// vector, and executes it.
 func (s *Server) executeV1(ex *v1Exec) (*api.QueryResponse, *api.Error) {
 	if !s.limiter.Acquire() {
 		s.rejected.Add(1)
 		return nil, api.Errorf(api.CodeOverloaded, "overloaded: query queue is full")
 	}
 	defer s.limiter.Release()
-	switch {
-	case ex.tracked:
+	switch ex.ResponseForm() {
+	case api.FormTracks:
 		s.trackQueries.Add(1)
-	case ex.ranked:
+	case api.FormRanked:
 		s.planQueries.Add(1)
+		if ex.Mode == api.ModeEarlyExit {
+			s.earlyExitQueries.Add(1)
+		}
 	default:
 		s.queries.Add(1)
 	}
@@ -202,63 +108,100 @@ func (s *Server) executeV1(ex *v1Exec) (*api.QueryResponse, *api.Error) {
 	// watermark — the cache key renders the resolved vector either way, so
 	// a pinned request and a snapshot that happened to land on the same
 	// vector share one entry (they are the same pure function).
-	names, vector, aerr := s.resolveVector(ex.streams, ex.pins)
+	names, vector, aerr := s.resolveVector(ex.Streams, ex.At)
 	if aerr != nil {
 		return nil, aerr
 	}
-	if ex.tracked {
-		return s.executeTracks(ex, names, vector)
-	}
-	if !ex.ranked {
-		return s.executeFrames(ex, names, vector)
-	}
-	return s.executeRanked(ex, names, vector)
+	return s.execute(ex, names, vector)
 }
 
-// executeFrames answers a bare one-leaf plan through the single-class
-// engine, in the per-stream frames form.
-func (s *Server) executeFrames(ex *v1Exec, names []string, vector api.WatermarkVector) (*api.QueryResponse, *api.Error) {
-	class, ok := ex.compiled.SingleClass()
-	if !ok {
-		return nil, api.Errorf(api.CodeInternal, "frames execution of a non-single-leaf plan")
+// execKey renders an execution identity as the result-cache key: the
+// response form, the canonical predicate (not the request text, so
+// "car&person" and " car & person " collide), every option that shapes the
+// answer, the mode (modes are disjoint pure functions, so disjoint
+// entries), and each resolved stream with its pinned watermark. The page
+// (limit/offset) is deliberately absent — paging shares the cached
+// execution. With a nil vector (every stream renders @0) the same
+// rendering is a standing query's coalescing key.
+func execKey(form string, id *api.Cursor) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s|%s|k=%d&kx=%d&s=%g&e=%g&m=%d&mode=%s", form, id.Expr, id.TopK,
+		id.Kx, id.Start, id.End, id.MaxClusters, id.Mode)
+	for _, n := range id.Streams {
+		fmt.Fprintf(&b, "|%s@%g", n, id.At[n])
 	}
-	key := framesCacheKey(class, ex, names, vector)
-	if v, ok := s.cache.get(key); ok {
+	return b.String()
+}
+
+// execute answers one resolved execution at the given vector: from the
+// result cache when the same pure function already ran, through the form's
+// engine otherwise; ranked and tracks answers are then sliced to the
+// requested page of the (cached) full ranking and the continuation cursor
+// is minted. The returned response is private to the caller (safe to hand
+// to an encoder); cached state is never aliased mutably — the cached copy
+// stays Cached=false, describing the execution.
+func (s *Server) execute(ex *v1Exec, names []string, vector api.WatermarkVector) (*api.QueryResponse, *api.Error) {
+	id := ex.Cursor
+	id.Streams, id.At = names, vector
+	form := ex.ResponseForm()
+	key := execKey(form, &id)
+	full, cached := s.cache.get(key)
+	if cached {
 		s.cacheHits.Add(1)
-		hit := *(v.(*api.QueryResponse)) // shallow copy: only the Cached flag differs
-		hit.Cached = true
-		return &hit, nil
+	} else {
+		full = &api.QueryResponse{
+			Expr:        id.Expr,
+			Form:        form,
+			Watermarks:  vector,
+			TopK:        id.TopK,
+			Kx:          id.Kx,
+			Start:       id.Start,
+			End:         id.End,
+			MaxClusters: id.MaxClusters,
+			Mode:        id.Mode,
+		}
+		leaf := focus.QueryOptions{Kx: id.Kx, StartSec: id.Start, EndSec: id.End, MaxClusters: id.MaxClusters}
+		var err error
+		switch form {
+		case api.FormFrames:
+			err = s.runFrames(ex.compiled, &id, leaf, full)
+		case api.FormTracks:
+			err = s.runTracks(ex.trackPlan, &id, leaf, full)
+		default:
+			err = s.runRanked(ex.compiled, &id, leaf, full)
+		}
+		if err != nil {
+			return nil, api.Errorf(api.CodeInternal, "%v", err)
+		}
+		s.cache.put(key, full)
+		s.cacheMisses.Add(1)
 	}
-	res, err := s.sys.Query(focus.Query{
-		Class:   class,
-		Streams: names,
-		Options: focus.QueryOptions{
-			Kx:          ex.kx,
-			StartSec:    ex.start,
-			EndSec:      ex.end,
-			MaxClusters: ex.maxClusters,
-		},
-		AtWatermarks: vector,
-	})
+	out := api.PageOf(full, id, ex.Limit)
+	out.Cached = cached
+	return out, nil
+}
+
+// The run functions execute one form's engine at the pinned identity id
+// (resolved Streams, watermark vector in At) and fill the answer into out,
+// whose echo fields execute has already set.
+
+// runFrames answers a bare one-leaf plan through the single-class engine,
+// in the per-stream frames form.
+func (s *Server) runFrames(p *plan.Plan, id *api.Cursor, leaf focus.QueryOptions, out *api.QueryResponse) error {
+	class, ok := p.SingleClass()
+	if !ok {
+		return fmt.Errorf("frames execution of a non-single-leaf plan")
+	}
+	res, err := s.sys.Query(focus.Query{Class: class, Streams: id.Streams, Options: leaf, AtWatermarks: id.At})
 	if err != nil {
-		return nil, api.Errorf(api.CodeInternal, "%v", err)
+		return err
 	}
-	resp := &api.QueryResponse{
-		Expr:        ex.compiled.Canonical(),
-		Form:        api.FormFrames,
-		Watermarks:  vector,
-		Streams:     make(map[string]*api.StreamResult, len(res.PerStream)),
-		TotalFrames: res.TotalFrames,
-		Kx:          ex.kx,
-		Start:       ex.start,
-		End:         ex.end,
-		MaxClusters: ex.maxClusters,
-		GPUTimeMS:   res.GPUTimeMS,
-		LatencyMS:   res.LatencyMS,
-	}
+	out.Streams = make(map[string]*api.StreamResult, len(res.PerStream))
+	out.TotalFrames = res.TotalFrames
+	out.GPUTimeMS, out.LatencyMS = res.GPUTimeMS, res.LatencyMS
 	for name, sr := range res.PerStream {
-		out := &api.StreamResult{
-			Watermark:        vector[name],
+		st := &api.StreamResult{
+			Watermark:        id.At[name],
 			Frames:           make([]int64, len(sr.Frames)),
 			Segments:         make([]int64, len(sr.Segments)),
 			ExaminedClusters: sr.ExaminedClusters,
@@ -269,182 +212,73 @@ func (s *Server) executeFrames(ex *v1Exec, names []string, vector api.WatermarkV
 			ViaOther:         sr.ViaOther,
 		}
 		for i, f := range sr.Frames {
-			out.Frames[i] = int64(f)
+			st.Frames[i] = int64(f)
 		}
 		for i, seg := range sr.Segments {
-			out.Segments[i] = int64(seg)
+			st.Segments[i] = int64(seg)
 		}
-		resp.GTInferences += sr.GTInferences
-		resp.Streams[name] = out
+		out.GTInferences += sr.GTInferences
+		out.Streams[name] = st
 	}
-	s.cache.put(key, resp)
-	s.cacheMisses.Add(1)
-	out := *resp // the cached copy stays Cached=false (it describes the execution)
-	return &out, nil
+	return nil
 }
 
-// executeRanked answers through the plan pipeline, slicing the requested
-// page out of the (cached) full ranking and minting the continuation
-// cursor.
-func (s *Server) executeRanked(ex *v1Exec, names []string, vector api.WatermarkVector) (*api.QueryResponse, *api.Error) {
-	canonical := ex.compiled.Canonical()
-	if ex.mode == api.ModeEarlyExit {
-		s.earlyExitQueries.Add(1)
+// runRanked answers through the plan pipeline: the full ranking, exact or
+// early-exit as id.Mode says.
+func (s *Server) runRanked(p *plan.Plan, id *api.Cursor, leaf focus.QueryOptions, out *api.QueryResponse) error {
+	res, err := s.sys.ExecutePlan(p, focus.PlanOptions{
+		Streams:      id.Streams,
+		TopK:         id.TopK,
+		Leaf:         leaf,
+		AtWatermarks: id.At,
+		EarlyExit:    id.Mode == api.ModeEarlyExit,
+	})
+	if err != nil {
+		return err
 	}
-	key := rankedCacheKey(canonical, ex, names, vector)
-	var full *api.QueryResponse
-	cached := false
-	if v, ok := s.cache.get(key); ok {
-		s.cacheHits.Add(1)
-		full, cached = v.(*api.QueryResponse), true
-	} else {
-		res, err := s.sys.ExecutePlan(ex.compiled, focus.PlanOptions{
-			Streams: names,
-			TopK:    ex.topK,
-			Leaf: focus.QueryOptions{
-				Kx:          ex.kx,
-				StartSec:    ex.start,
-				EndSec:      ex.end,
-				MaxClusters: ex.maxClusters,
-			},
-			AtWatermarks: vector,
-			EarlyExit:    ex.mode == api.ModeEarlyExit,
-		})
-		if err != nil {
-			return nil, api.Errorf(api.CodeInternal, "%v", err)
+	out.Items = make([]api.Item, len(res.Items))
+	for i, it := range res.Items {
+		out.Items[i] = api.Item{
+			Stream:  it.Stream,
+			Frame:   int64(it.Frame),
+			TimeSec: it.TimeSec,
+			Segment: int64(it.Segment),
+			Score:   it.Score,
 		}
-		full = &api.QueryResponse{
-			Expr:         canonical,
-			Form:         api.FormRanked,
-			Watermarks:   vector,
-			Items:        make([]api.Item, len(res.Items)),
-			TotalItems:   len(res.Items),
-			TopK:         ex.topK,
-			Kx:           ex.kx,
-			Start:        ex.start,
-			End:          ex.end,
-			MaxClusters:  ex.maxClusters,
-			Mode:         ex.mode,
-			GTInferences: res.Stats.GTInferences,
-			GPUTimeMS:    res.Stats.GPUTimeMS,
-			LatencyMS:    res.Stats.LatencyMS,
-		}
-		for i, it := range res.Items {
-			full.Items[i] = api.Item{
-				Stream:  it.Stream,
-				Frame:   int64(it.Frame),
-				TimeSec: it.TimeSec,
-				Segment: int64(it.Segment),
-				Score:   it.Score,
-			}
-		}
-		s.cache.put(key, full)
-		s.cacheMisses.Add(1)
 	}
-	out := *full // shallow copy; Items re-sliced below, never mutated
-	out.Cached = cached
-	out.Items = api.PageItems(full.Items, ex.limit, ex.offset)
-	out.Cursor = api.ContinuationToken(api.Cursor{
-		Expr:        canonical,
-		Streams:     names,
-		TopK:        ex.topK,
-		Kx:          ex.kx,
-		Start:       ex.start,
-		End:         ex.end,
-		MaxClusters: ex.maxClusters,
-		At:          vector,
-		Mode:        ex.mode,
-	}, ex.limit, ex.offset, len(out.Items), full.TotalItems)
-	return &out, nil
+	out.TotalItems = len(res.Items)
+	out.GTInferences, out.GPUTimeMS, out.LatencyMS = res.Stats.GTInferences, res.Stats.GPUTimeMS, res.Stats.LatencyMS
+	return nil
 }
 
-// tracksCacheKey mirrors rankedCacheKey with a distinct prefix: a tracks
-// execution and a ranked execution of the same canonical predicate are
-// different pure functions (they cannot share an expr — temporal operators
-// decide the path — but the keyspace separation keeps that invariant out
-// of the cache's hands).
-func tracksCacheKey(canonical string, ex *v1Exec, names []string, vector api.WatermarkVector) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "tracks|%s|k=%d&kx=%d&s=%g&e=%g&m=%d", canonical, ex.topK,
-		ex.kx, ex.start, ex.end, ex.maxClusters)
-	for _, n := range names {
-		fmt.Fprintf(&b, "|%s@%g", n, vector[n])
+// runTracks answers a temporal expression through the track pipeline.
+func (s *Server) runTracks(tp *track.Plan, id *api.Cursor, leaf focus.QueryOptions, out *api.QueryResponse) error {
+	res, err := s.sys.ExecuteTrackQuery(tp, focus.TrackOptions{
+		Streams:      id.Streams,
+		TopK:         id.TopK,
+		Leaf:         leaf,
+		AtWatermarks: id.At,
+	})
+	if err != nil {
+		return err
 	}
-	return b.String()
-}
-
-// executeTracks answers a temporal expression through the track pipeline,
-// slicing the requested page out of the (cached) full ranking and minting
-// the continuation cursor — the tracks-form mirror of executeRanked.
-func (s *Server) executeTracks(ex *v1Exec, names []string, vector api.WatermarkVector) (*api.QueryResponse, *api.Error) {
-	canonical := ex.trackPlan.Canonical()
-	key := tracksCacheKey(canonical, ex, names, vector)
-	var full *api.QueryResponse
-	cached := false
-	if v, ok := s.cache.get(key); ok {
-		s.cacheHits.Add(1)
-		full, cached = v.(*api.QueryResponse), true
-	} else {
-		res, err := s.sys.ExecuteTrackQuery(ex.trackPlan, focus.TrackOptions{
-			Streams: names,
-			TopK:    ex.topK,
-			Leaf: focus.QueryOptions{
-				Kx:          ex.kx,
-				StartSec:    ex.start,
-				EndSec:      ex.end,
-				MaxClusters: ex.maxClusters,
-			},
-			AtWatermarks: vector,
-		})
-		if err != nil {
-			return nil, api.Errorf(api.CodeInternal, "%v", err)
+	out.Tracks = make([]api.TrackItem, len(res.Items))
+	for i, it := range res.Items {
+		out.Tracks[i] = api.TrackItem{
+			Stream:     it.Stream,
+			Track:      it.Track,
+			Object:     int64(it.Object),
+			StartFrame: int64(it.StartFrame),
+			EndFrame:   int64(it.EndFrame),
+			StartSec:   it.StartSec,
+			EndSec:     it.EndSec,
+			Sightings:  it.Sightings,
+			Score:      it.Score,
 		}
-		full = &api.QueryResponse{
-			Expr:         canonical,
-			Form:         api.FormTracks,
-			Watermarks:   vector,
-			Tracks:       make([]api.TrackItem, len(res.Items)),
-			TotalItems:   len(res.Items),
-			TopK:         ex.topK,
-			Kx:           ex.kx,
-			Start:        ex.start,
-			End:          ex.end,
-			MaxClusters:  ex.maxClusters,
-			GTInferences: res.Stats.GTInferences,
-			GPUTimeMS:    res.Stats.GPUTimeMS,
-			LatencyMS:    res.Stats.LatencyMS,
-		}
-		for i, it := range res.Items {
-			full.Tracks[i] = api.TrackItem{
-				Stream:     it.Stream,
-				Track:      it.Track,
-				Object:     int64(it.Object),
-				StartFrame: int64(it.StartFrame),
-				EndFrame:   int64(it.EndFrame),
-				StartSec:   it.StartSec,
-				EndSec:     it.EndSec,
-				Sightings:  it.Sightings,
-				Score:      it.Score,
-			}
-		}
-		s.cache.put(key, full)
-		s.cacheMisses.Add(1)
 	}
-	out := *full // shallow copy; Tracks re-sliced below, never mutated
-	out.Cached = cached
-	out.Tracks = api.PageTracks(full.Tracks, ex.limit, ex.offset)
-	out.Cursor = api.ContinuationToken(api.Cursor{
-		Expr:        canonical,
-		Streams:     names,
-		TopK:        ex.topK,
-		Kx:          ex.kx,
-		Start:       ex.start,
-		End:         ex.end,
-		MaxClusters: ex.maxClusters,
-		At:          vector,
-		Form:        api.FormTracks,
-	}, ex.limit, ex.offset, len(out.Tracks), full.TotalItems)
-	return &out, nil
+	out.TotalItems = len(res.Items)
+	out.GTInferences, out.GPUTimeMS, out.LatencyMS = res.Stats.GTInferences, res.Stats.GPUTimeMS, res.Stats.LatencyMS
+	return nil
 }
 
 // countV1Error mirrors the error onto the server's counters: overload

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"context"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -187,48 +188,18 @@ func TestV1ErrorCodes(t *testing.T) {
 	}
 }
 
-// TestV1AndLegacyShareCache: the shim translates into the v1 core, so the
-// same pure function reached over either surface shares one cache entry —
-// and the legacy_requests counter tracks only shim traffic.
-func TestV1AndLegacyShareCache(t *testing.T) {
-	s := bootTestService(t, focus.Config{}, serve.Config{NoBackgroundIngest: true}, "auburn_c")
-	s.advanceAll(t, 20)
-	cli := v1Client(s)
-
-	v1resp, err := cli.Query(context.Background(), &api.QueryRequest{Expr: "car"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1resp.Cached {
-		t.Fatal("first v1 query claims cached")
-	}
-	legacy, resp := s.getQuery(t, "class=car")
-	if !legacy.Cached {
-		t.Fatal("legacy repeat of the v1 query missed the cache — surfaces must share entries")
-	}
-	if resp.Header.Get(api.DeprecationHeader) != "true" {
-		t.Error("legacy response missing the Deprecation header")
-	}
-	if legacy.TotalFrames != v1resp.TotalFrames {
-		t.Fatalf("legacy served %d frames, v1 %d", legacy.TotalFrames, v1resp.TotalFrames)
-	}
-
-	stats := s.srv.Snapshot()
-	if stats.LegacyRequests != 1 {
-		t.Fatalf("legacy_requests = %d, want 1 (v1 traffic must not count)", stats.LegacyRequests)
-	}
-	if stats.Queries != 2 || stats.CacheHits != 1 || stats.CacheMisses != 1 {
-		t.Fatalf("stats: %+v", stats)
-	}
-}
-
 // ---- v1 golden wire format ----
+
+// updateGolden rewrites the goldens under testdata/v1 instead of comparing
+// against them:
+//
+//	go test ./internal/serve -run 'TestV1WireGolden|TestCursorTokenGolden' -update-golden
+var updateGolden = flag.Bool("update-golden", false, "rewrite wire golden files")
 
 // v1CaptureSequence pins the v1 JSON encodings — request handling, both
 // response forms, the error envelope, and the cursor token — byte for
-// byte. Unlike the legacy goldens (which freeze a pre-redesign capture),
-// these are the contract of record for /v1: regenerate deliberately with
-// -update-golden when the contract version changes.
+// byte. These are the contract of record for /v1: regenerate deliberately
+// with -update-golden when the contract version changes.
 var v1CaptureSequence = []struct {
 	name string
 	body string
@@ -261,6 +232,17 @@ func TestV1WireGolden(t *testing.T) {
 		b.Write(body)
 		checkV1Golden(t, tc.name, b.Bytes())
 	}
+	// The ownership surface the router polls, after the traffic above.
+	resp, err := http.Get(s.http.URL + api.PathStreams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkV1Golden(t, "streams", append([]byte(fmt.Sprintf("HTTP %d\n\n", resp.StatusCode)), body...))
 }
 
 func checkV1Golden(t *testing.T, name string, got []byte) {

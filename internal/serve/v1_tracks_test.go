@@ -139,14 +139,14 @@ func TestV1TracksCursorPagedEqualsOneShot(t *testing.T) {
 		t.Fatalf("cursor pages diverge from one-shot:\npaged: %+v\nfull:  %+v", tracks, oneShot.Tracks)
 	}
 
-	// CollectTrackPages (the client-side convenience) reaches the same
+	// CollectPages (the client-side convenience) reaches the same
 	// answer and passes the direct verifier.
-	assembled, err := cli.CollectTrackPages(ctx, &api.QueryRequest{Expr: "car & dur(1)", At: first.Watermarks}, 2)
+	assembled, err := cli.CollectPages(ctx, &api.QueryRequest{Expr: "car & dur(1)", At: first.Watermarks}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(assembled.Tracks, oneShot.Tracks) {
-		t.Fatal("CollectTrackPages diverges from one-shot")
+		t.Fatal("CollectPages diverges from one-shot")
 	}
 	if err := loadgen.NewDirectTrackVerifier(s.sys)(assembled); err != nil {
 		t.Fatalf("assembled paged track read diverges from direct: %v", err)

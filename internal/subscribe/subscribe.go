@@ -565,10 +565,10 @@ func deltaEvent(form string, prev, next *groupState, cost evalCost) *api.Subscri
 		GPUTimeMS:    cost.gpuMS,
 	}
 	if form == api.FormTracks {
-		d.Tracks, d.RemovedTracks = api.DiffTracks(prev.tracks, next.tracks)
+		d.Tracks, d.RemovedTracks = api.Diff(prev.tracks, next.tracks)
 		d.TotalItems = len(next.tracks)
 	} else {
-		d.Items, d.RemovedItems = api.DiffItems(prev.items, next.items)
+		d.Items, d.RemovedItems = api.Diff(prev.items, next.items)
 		d.TotalItems = len(next.items)
 	}
 	return &api.SubscribeEvent{V: api.SSEVersion, Type: api.EventDelta, Delta: d}

@@ -87,7 +87,7 @@ func tracksAt(v api.WatermarkVector) []api.TrackItem {
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return api.TrackRankBefore(out[i], out[j]) })
+	sort.Slice(out, func(i, j int) bool { return out[i].RankBefore(out[j]) })
 	return out
 }
 
@@ -246,7 +246,7 @@ func TestDeltasComposeToOneShot(t *testing.T) {
 					t.Fatalf("delta From %v does not continue last To %v", d.From, last)
 				}
 				if form == api.FormTracks {
-					tracks, err = api.ApplyDeltaTracks(tracks, d)
+					tracks, err = api.ApplyDelta(tracks, d.Tracks, d.RemovedTracks, d.TotalItems)
 				} else {
 					items, err = api.ApplyDeltaItems(items, d)
 				}
@@ -646,7 +646,7 @@ func subscribeOnce(r *Registry, w *fakeWorld, form string, deltas int) error {
 				return fmt.Errorf("delta From %v does not continue last To %v", d.From, last)
 			}
 			if form == api.FormTracks {
-				tracks, err = api.ApplyDeltaTracks(tracks, d)
+				tracks, err = api.ApplyDelta(tracks, d.Tracks, d.RemovedTracks, d.TotalItems)
 			} else {
 				items, err = api.ApplyDeltaItems(items, d)
 			}
