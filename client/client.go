@@ -104,9 +104,16 @@ func (c *Client) Query(ctx context.Context, req *api.QueryRequest) (*api.QueryRe
 	if err != nil {
 		return nil, fmt.Errorf("client: encoding request: %w", err)
 	}
-	var out api.QueryResponse
-	if err := c.do(ctx, http.MethodPost, api.PathQuery, body, &out); err != nil {
+	// The answer is nearly every byte this client reads: it goes through
+	// the hand-written codec directly, not through encoding/json's
+	// validating pre-scan and back into it.
+	respBody, err := c.exchange(ctx, http.MethodPost, api.PathQuery, body)
+	if err != nil {
 		return nil, err
+	}
+	var out api.QueryResponse
+	if err := api.DecodeQueryResponse(respBody, &out); err != nil {
+		return nil, fmt.Errorf("client: decoding %s response: %w", api.PathQuery, err)
 	}
 	return &out, nil
 }
@@ -204,9 +211,21 @@ func (c *Client) retryDelay(attempt int, retryAfter string) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }
 
-// do runs one HTTP exchange with the retry policy, decoding a 2xx body
-// into out (when non-nil) and a non-2xx body into an *api.Error.
+// do runs one exchange and decodes its 2xx body into out (when non-nil).
 func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
+	respBody, err := c.exchange(ctx, method, path, body)
+	if err != nil || out == nil {
+		return err
+	}
+	if err := json.Unmarshal(respBody, out); err != nil {
+		return fmt.Errorf("client: decoding %s response: %w", path, err)
+	}
+	return nil
+}
+
+// exchange runs one HTTP exchange with the retry policy and returns the
+// 2xx body; a non-2xx body comes back as an *api.Error.
+func (c *Client) exchange(ctx context.Context, method, path string, body []byte) ([]byte, error) {
 	for attempt := 0; ; attempt++ {
 		var rd io.Reader
 		if body != nil {
@@ -214,37 +233,52 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 		}
 		req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if body != nil {
 			req.Header.Set("Content-Type", "application/json")
 		}
 		resp, err := c.httpc.Do(req)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		respBody, err := io.ReadAll(resp.Body)
+		respBody, err := readBody(resp)
 		resp.Body.Close()
 		if err != nil {
-			return fmt.Errorf("client: reading %s body: %w", path, err)
+			return nil, fmt.Errorf("client: reading %s body: %w", path, err)
 		}
 		if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-			if out == nil {
-				return nil
-			}
-			if err := json.Unmarshal(respBody, out); err != nil {
-				return fmt.Errorf("client: decoding %s response: %w", path, err)
-			}
-			return nil
+			return respBody, nil
 		}
 		apiErr := api.DecodeError(resp.StatusCode, respBody)
 		if attempt >= c.retries || !c.retryable(apiErr) {
-			return apiErr
+			return nil, apiErr
 		}
 		select {
 		case <-ctx.Done():
-			return ctx.Err()
+			return nil, ctx.Err()
 		case <-time.After(c.retryDelay(attempt, resp.Header.Get("Retry-After"))):
 		}
 	}
+}
+
+// maxPresizedBody caps the read buffer taken on a server's word: a larger
+// Content-Length is still read, into a buffer that grows with what
+// actually arrives.
+const maxPresizedBody = 64 << 20
+
+// readBody reads a response body whole. When the server declared its
+// length — /v1/query answers do — the buffer is allocated once at that
+// size instead of grown by doubling.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n > 0 && n <= maxPresizedBody {
+		buf := make([]byte, n)
+		// net/http returns io.EOF with the body's last bytes, so a full
+		// read also marks the connection reusable.
+		if _, err := io.ReadFull(resp.Body, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	return io.ReadAll(resp.Body)
 }

@@ -3,9 +3,11 @@ package client
 import (
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -228,5 +230,63 @@ func TestRetryDelayJitterAndCap(t *testing.T) {
 	zero := New("http://unused", WithRetries(3, 0))
 	if got := zero.retryDelay(5, ""); got != 0 {
 		t.Fatalf("zero-backoff client delay: %v, want 0", got)
+	}
+}
+
+// TestQueryReadsSizedAndUnsizedBodies: Query decodes an answer whether the
+// server declared its length (the buffer is taken at that size) or streamed
+// it chunked, and a length-declared read leaves the connection reusable.
+func TestQueryReadsSizedAndUnsizedBodies(t *testing.T) {
+	want := &api.QueryResponse{Expr: "car", Form: api.FormFrames, Watermarks: api.WatermarkVector{"s": 30},
+		Streams: map[string]*api.StreamResult{"s": {Watermark: 30, Frames: make([]int64, 5000), Segments: []int64{}}}, TotalFrames: 5000}
+	for i := range want.Streams["s"].Frames {
+		want.Streams["s"].Frames[i] = int64(i) * 3
+	}
+	var conns atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc(api.PathQuery, func(w http.ResponseWriter, r *http.Request) {
+		var req api.QueryRequest
+		_ = json.NewDecoder(r.Body).Decode(&req)
+		if req.Expr == "chunked" {
+			w.WriteHeader(http.StatusOK)
+			w.(http.Flusher).Flush() // headers leave without a Content-Length
+			_, _ = w.Write(append(api.AppendQueryResponse(nil, want), '\n'))
+			return
+		}
+		api.WriteQueryResponse(w, want)
+	})
+	ts := httptest.NewUnstartedServer(mux)
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	c := New(ts.URL, WithHTTPClient(ts.Client()))
+	for i, expr := range []string{"car", "car", "chunked", "car"} {
+		got, err := c.Query(context.Background(), &api.QueryRequest{Expr: expr})
+		if err != nil {
+			t.Fatalf("query %d (%s): %v", i, expr, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d (%s): decoded answer differs", i, expr)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Errorf("four sequential queries used %d connections, want 1 (every body read to its end)", n)
+	}
+}
+
+// TestQueryRejectsMalformedAnswer: a 200 body the codec rejects is an
+// error naming the decode, never a half-filled response.
+func TestQueryRejectsMalformedAnswer(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write([]byte(`{"expr":"car","total_items":1e2}`))
+	}))
+	defer ts.Close()
+	resp, err := New(ts.URL).Query(context.Background(), &api.QueryRequest{Expr: "car"})
+	if err == nil || resp != nil || !strings.Contains(err.Error(), "decoding") {
+		t.Fatalf("Query = %+v, %v; want a decoding error", resp, err)
 	}
 }

@@ -398,7 +398,7 @@ func (r *Router) routeV1(ex *routedExec) (*api.QueryResponse, int, *api.Error) {
 	parts := make([]*api.QueryResponse, len(replies))
 	for i := range replies {
 		parts[i] = new(api.QueryResponse)
-		if err := json.Unmarshal(replies[i].body, parts[i]); err != nil {
+		if err := api.DecodeQueryResponse(replies[i].body, parts[i]); err != nil {
 			r.upstreamErrs.Add(1)
 			e := api.Errorf(api.CodeUnavailable, "shard %q sent a bad %s body: %v", replies[i].shard, api.PathQuery, err)
 			e.Shard = replies[i].shard
@@ -451,7 +451,7 @@ func (r *Router) handleV1Query(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var qreq api.QueryRequest
-	if err := json.NewDecoder(req.Body).Decode(&qreq); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, api.MaxRequestBytes)).Decode(&qreq); err != nil {
 		r.writeV1Error(w, api.Errorf(api.CodeBadRequest, "bad %s body: %v", api.PathQuery, err))
 		return
 	}
@@ -467,7 +467,7 @@ func (r *Router) handleV1Query(w http.ResponseWriter, req *http.Request) {
 	}
 	setCacheHeader(w, merged.Cached)
 	w.Header().Set(fanoutHeader, strconv.Itoa(fanout))
-	writeJSON(w, http.StatusOK, merged)
+	api.WriteQueryResponse(w, merged)
 }
 
 // handleStreams scatters GET /v1/streams to every responsive shard and

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -240,5 +241,37 @@ func TestCallShardRetriesTransientFailures(t *testing.T) {
 	}
 	if r.shardRetried.Load() == 0 {
 		t.Error("shard_retries counter never moved")
+	}
+}
+
+// TestRouterOversizedRequestBody: the router bounds the /v1/query and
+// /v1/subscribe bodies it reads like a shard does — past
+// api.MaxRequestBytes is the typed bad_request envelope, before any shard
+// is asked.
+func TestRouterOversizedRequestBody(t *testing.T) {
+	r := probationRouter(t, 1, newFakeShard(t, "shard-0", "auburn_c"))
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	ts := httptest.NewServer(r.Handler())
+	defer ts.Close()
+	body := `{"expr":"car","pad":"` + strings.Repeat("a", api.MaxRequestBytes) + `"}`
+	for _, path := range []string{api.PathQuery, api.PathSubscribe} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env api.Envelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || env.Err == nil ||
+			env.Err.Code != api.CodeBadRequest || !strings.Contains(env.Err.Message, "too large") {
+			t.Errorf("%s with %d bytes: status %d, envelope %+v (%v), want 400 bad_request naming the size",
+				path, len(body), resp.StatusCode, env.Err, err)
+		}
+	}
+	if got := r.shardReqs.Load(); got != 0 {
+		t.Errorf("%d shard requests for bodies that were never read whole", got)
 	}
 }

@@ -106,7 +106,7 @@ func (r *Router) handleV1Subscribe(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var sreq api.SubscribeRequest
-	if err := json.NewDecoder(req.Body).Decode(&sreq); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, api.MaxRequestBytes)).Decode(&sreq); err != nil {
 		r.writeV1Error(w, api.Errorf(api.CodeBadRequest, "bad %s body: %v", api.PathSubscribe, err))
 		return
 	}

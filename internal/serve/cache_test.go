@@ -16,15 +16,15 @@ func TestResultCacheLRUEviction(t *testing.T) {
 		t.Fatalf("len %d, want 4", c.len())
 	}
 	// Touch k0 so k1 becomes the LRU victim.
-	if _, ok := c.get("k0"); !ok {
+	if c.get("k0") == nil {
 		t.Fatal("k0 missing")
 	}
 	c.put("k4", &api.QueryResponse{TotalFrames: 4})
-	if _, ok := c.get("k1"); ok {
+	if c.get("k1") != nil {
 		t.Error("k1 should have been evicted as LRU")
 	}
 	for _, k := range []string{"k0", "k2", "k3", "k4"} {
-		if _, ok := c.get(k); !ok {
+		if c.get(k) == nil {
 			t.Errorf("%s missing after eviction", k)
 		}
 	}
@@ -34,9 +34,9 @@ func TestResultCachePutRefreshesExisting(t *testing.T) {
 	c := newResultCache(8, 2)
 	c.put("k", &api.QueryResponse{TotalFrames: 1})
 	c.put("k", &api.QueryResponse{TotalFrames: 2})
-	got, ok := c.get("k")
-	if !ok || got.TotalFrames != 2 {
-		t.Fatalf("got %+v ok=%v, want TotalFrames=2", got, ok)
+	got := c.get("k")
+	if got == nil || got.resp.TotalFrames != 2 {
+		t.Fatalf("got %+v, want TotalFrames=2", got)
 	}
 }
 

@@ -34,7 +34,7 @@ func (s *Server) subscribeEval(ex *v1Exec, names []string) subscribe.Eval {
 		if aerr != nil {
 			return nil, aerr
 		}
-		resp, aerr := s.execute(ex, names, vector)
+		resp, _, aerr := s.execute(ex, names, vector, false)
 		if aerr != nil {
 			return nil, aerr
 		}
@@ -128,7 +128,7 @@ func (s *Server) handleV1Subscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.SubscribeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxRequestBytes)).Decode(&req); err != nil {
 		s.writeV1Error(w, api.Errorf(api.CodeBadRequest, "bad %s body: %v", api.PathSubscribe, err))
 		return
 	}

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
+	"strconv"
 
 	"focus"
 	"focus/api"
@@ -82,14 +82,26 @@ func (s *Server) compile(rx *api.Exec, ast plan.Expr) (*v1Exec, error) {
 	return ex, nil
 }
 
-// executeV1 admits and counts one v1 query, snapshots its watermark
-// vector, and executes it.
-func (s *Server) executeV1(ex *v1Exec) (*api.QueryResponse, *api.Error) {
-	if !s.limiter.Acquire() {
-		s.rejected.Add(1)
-		return nil, api.Errorf(api.CodeOverloaded, "overloaded: query queue is full")
+// executeV1 answers one POST /v1/query: it snapshots the watermark vector
+// and executes, taking an admission slot if the answer has to be computed.
+// body, when non-nil, is resp already encoded (see execute).
+func (s *Server) executeV1(ex *v1Exec) (resp *api.QueryResponse, body []byte, aerr *api.Error) {
+	// Resolve target streams and snapshot their watermarks: the consistent
+	// horizon this query is pinned to, however far ingest advances while it
+	// runs. Streams pinned through `at` (or a cursor) keep their explicit
+	// watermark — the cache key renders the resolved vector either way, so
+	// a pinned request and a snapshot that happened to land on the same
+	// vector share one entry (they are the same pure function).
+	names, vector, aerr := s.resolveVector(ex.Streams, ex.At)
+	if aerr != nil {
+		return nil, nil, aerr
 	}
-	defer s.limiter.Release()
+	return s.execute(ex, names, vector, true)
+}
+
+// countQuery counts one /v1/query request by answer form, once it is
+// certain to be answered: found in the cache, or admitted.
+func (s *Server) countQuery(ex *v1Exec) {
 	switch ex.ResponseForm() {
 	case api.FormTracks:
 		s.trackQueries.Add(1)
@@ -101,18 +113,6 @@ func (s *Server) executeV1(ex *v1Exec) (*api.QueryResponse, *api.Error) {
 	default:
 		s.queries.Add(1)
 	}
-
-	// Resolve target streams and snapshot their watermarks: the consistent
-	// horizon this query is pinned to, however far ingest advances while it
-	// runs. Streams pinned through `at` (or a cursor) keep their explicit
-	// watermark — the cache key renders the resolved vector either way, so
-	// a pinned request and a snapshot that happened to land on the same
-	// vector share one entry (they are the same pure function).
-	names, vector, aerr := s.resolveVector(ex.Streams, ex.At)
-	if aerr != nil {
-		return nil, aerr
-	}
-	return s.execute(ex, names, vector)
 }
 
 // execKey renders an execution identity as the result-cache key: the
@@ -124,13 +124,29 @@ func (s *Server) executeV1(ex *v1Exec) (*api.QueryResponse, *api.Error) {
 // execution. With a nil vector (every stream renders @0) the same
 // rendering is a standing query's coalescing key.
 func execKey(form string, id *api.Cursor) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%s|k=%d&kx=%d&s=%g&e=%g&m=%d&mode=%s", form, id.Expr, id.TopK,
-		id.Kx, id.Start, id.End, id.MaxClusters, id.Mode)
+	b := make([]byte, 0, 96+len(id.Expr)+24*len(id.Streams))
+	b = append(b, form...)
+	b = append(b, '|')
+	b = append(b, id.Expr...)
+	b = append(b, "|k="...)
+	b = strconv.AppendInt(b, int64(id.TopK), 10)
+	b = append(b, "&kx="...)
+	b = strconv.AppendInt(b, int64(id.Kx), 10)
+	b = append(b, "&s="...)
+	b = strconv.AppendFloat(b, id.Start, 'g', -1, 64)
+	b = append(b, "&e="...)
+	b = strconv.AppendFloat(b, id.End, 'g', -1, 64)
+	b = append(b, "&m="...)
+	b = strconv.AppendInt(b, int64(id.MaxClusters), 10)
+	b = append(b, "&mode="...)
+	b = append(b, id.Mode...)
 	for _, n := range id.Streams {
-		fmt.Fprintf(&b, "|%s@%g", n, id.At[n])
+		b = append(b, '|')
+		b = append(b, n...)
+		b = append(b, '@')
+		b = strconv.AppendFloat(b, id.At[n], 'g', -1, 64)
 	}
-	return b.String()
+	return string(b)
 }
 
 // execute answers one resolved execution at the given vector: from the
@@ -140,16 +156,35 @@ func execKey(form string, id *api.Cursor) string {
 // is minted. The returned response is private to the caller (safe to hand
 // to an encoder); cached state is never aliased mutably — the cached copy
 // stays Cached=false, describing the execution.
-func (s *Server) execute(ex *v1Exec, names []string, vector api.WatermarkVector) (*api.QueryResponse, *api.Error) {
+//
+// oneShot marks a POST /v1/query request as against a standing query's
+// evaluation: it is counted, and — the cache being probed first — only a
+// miss takes an admission slot, so a hit neither queues behind GPU-bound
+// misses nor draws a 429. For a one-shot hit that is the entry's whole
+// answer (no page cut out of it), body is the reply's encoding when the
+// entry keeps one (cacheEntry.hitBody); otherwise it is nil and the caller
+// renders resp.
+func (s *Server) execute(ex *v1Exec, names []string, vector api.WatermarkVector, oneShot bool) (resp *api.QueryResponse, body []byte, aerr *api.Error) {
 	id := ex.Cursor
 	id.Streams, id.At = names, vector
 	form := ex.ResponseForm()
 	key := execKey(form, &id)
-	full, cached := s.cache.get(key)
+	ent := s.cache.get(key)
+	cached := ent != nil
+	if !cached && oneShot {
+		if !s.limiter.Acquire() {
+			s.rejected.Add(1)
+			return nil, nil, api.Errorf(api.CodeOverloaded, "overloaded: query queue is full")
+		}
+		defer s.limiter.Release()
+	}
+	if oneShot {
+		s.countQuery(ex)
+	}
 	if cached {
 		s.cacheHits.Add(1)
 	} else {
-		full = &api.QueryResponse{
+		full := &api.QueryResponse{
 			Expr:        id.Expr,
 			Form:        form,
 			Watermarks:  vector,
@@ -171,14 +206,17 @@ func (s *Server) execute(ex *v1Exec, names []string, vector api.WatermarkVector)
 			err = s.runRanked(ex.compiled, &id, leaf, full)
 		}
 		if err != nil {
-			return nil, api.Errorf(api.CodeInternal, "%v", err)
+			return nil, nil, api.Errorf(api.CodeInternal, "%v", err)
 		}
-		s.cache.put(key, full)
+		ent = s.cache.put(key, full)
 		s.cacheMisses.Add(1)
 	}
-	out := api.PageOf(full, id, ex.Limit)
+	out := api.PageOf(ent.resp, id, ex.Limit)
 	out.Cached = cached
-	return out, nil
+	if cached && oneShot && ex.Limit == 0 && id.Offset == 0 {
+		body = ent.hitBody(out)
+	}
+	return out, body, nil
 }
 
 // The run functions execute one form's engine at the pinned identity id
@@ -338,7 +376,7 @@ func (s *Server) handleV1Query(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxRequestBytes)).Decode(&req); err != nil {
 		s.writeV1Error(w, api.Errorf(api.CodeBadRequest, "bad %s body: %v", api.PathQuery, err))
 		return
 	}
@@ -347,11 +385,15 @@ func (s *Server) handleV1Query(w http.ResponseWriter, r *http.Request) {
 		s.writeV1Error(w, aerr)
 		return
 	}
-	resp, aerr := s.executeV1(ex)
+	resp, body, aerr := s.executeV1(ex)
 	if aerr != nil {
 		s.writeV1Error(w, aerr)
 		return
 	}
 	w.Header().Set("X-Focus-Cache", cacheHeaderValue(resp.Cached))
-	writeJSON(w, http.StatusOK, resp)
+	if body != nil {
+		api.WriteQueryBody(w, body)
+		return
+	}
+	api.WriteQueryResponse(w, resp)
 }
